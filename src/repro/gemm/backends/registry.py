@@ -74,6 +74,14 @@ class BackendSpec:
 
 _REGISTRY: dict[str, BackendSpec] = {}
 _DEFAULT_BACKEND = "numpy"
+_GENERATION = 0
+
+
+def registry_generation() -> int:
+    """Bumped by every :func:`register_backend`; a forked process holds
+    the registry as it was at fork time, so the persistent shard pool
+    recycles its workers when this number moves."""
+    return _GENERATION
 
 
 def default_backend() -> str:
@@ -107,9 +115,11 @@ def register_backend(spec: BackendSpec, *, replace: bool = False) -> BackendSpec
     Registering is all a new backend must do to be covered by the
     conformance suite and selectable by name everywhere.
     """
+    global _GENERATION
     if spec.name in _REGISTRY and not replace:
         raise ValueError(f"backend {spec.name!r} is already registered")
     _REGISTRY[spec.name] = spec
+    _GENERATION += 1
     return spec
 
 

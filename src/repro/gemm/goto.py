@@ -43,16 +43,11 @@ from repro.gemm.verify import (
     VerifyReport,
     resolve_verify,
 )
-from repro.gemm.sharded import (
-    ShardConfig,
-    plan_shards,
-    resolve_shards,
-    run_sharded,
-)
+from repro.gemm.sharded import ShardConfig, multiply_sharded, resolve_shards
 from repro.machines.spec import MachineSpec
 from repro.packing.cost import packing_cost
 from repro.packing.pack import pack_a_goto, pack_b_goto
-from repro.packing.pool import BufferPool, SharedBufferPool
+from repro.packing.pool import BufferPool
 from repro.perfmodel.roofline import ZERO_TIME, block_time
 from repro.schedule.space import ComputationSpace
 from repro.util import split_length
@@ -219,36 +214,24 @@ class GotoGemm:
         shards = self.shards if numeric else None
         verifying = numeric and self.verify is not None and self.verify.enabled
         timers = PhaseTimers()
-        arena: SharedBufferPool | None = None
-        if numeric:
+        build_groups = numeric and shards is None
+        packed_a = packed_b = c = None
+        if build_groups:
             assert b is not None
-            # Sharded runs pack into a shared-memory arena (workers
-            # attach the segments zero-copy) and compute checksum
-            # material inside each shard instead of at pack time.
-            arena = SharedBufferPool() if shards is not None else None
-            pool = arena if arena is not None else self._pool
+            # Sharded runs pack inside multiply_sharded instead, into
+            # its shared-memory arena, and compute checksum material
+            # inside each shard.
             pack_start = time.perf_counter()
             packed_a = pack_a_goto(
                 a, plan.mc, plan.kc,
-                pool=pool, exact=self.exact_pack,
-                checksums=verifying and shards is None,
+                pool=self._pool, exact=self.exact_pack, checksums=verifying,
             )
             packed_b = pack_b_goto(
                 b, plan.kc, plan.nc,
-                pool=pool, exact=self.exact_pack,
-                checksums=verifying and shards is None,
+                pool=self._pool, exact=self.exact_pack, checksums=verifying,
             )
             timers.pack_seconds = time.perf_counter() - pack_start
-            dtype = np.result_type(a, b)
-            if arena is not None:
-                c = arena.lease((space.m, space.n), dtype)
-                c[...] = 0
-            else:
-                c = np.zeros((space.m, space.n), dtype=dtype)
-        else:
-            packed_a = packed_b = None
-            c = None
-        build_groups = numeric and shards is None
+            c = np.zeros((space.m, space.n), dtype=np.result_type(a, b))
         groups: list[StripGroup] = []
         # A slice-group's column checksum spans every mc-strip of A at
         # that ki; identical for all ni, so summed once per ki. The
@@ -396,45 +379,38 @@ class GotoGemm:
         report = None
         shard_report = None
         if numeric:
-            assert packed_a is not None and packed_b is not None
+            assert b is not None
             if shards is not None:
-                assert arena is not None and c is not None
-                try:
-                    shard_plan = plan_shards(
-                        shards.processes, m_strips, n_sizes, space.k
-                    )
-                    counters.ipc_bytes = (
-                        shard_plan.ipc_elements * machine.element_bytes
-                    )
-                    shard_report, report = run_sharded(
-                        engine="goto",
-                        dims={
-                            "m": space.m,
-                            "n": space.n,
-                            "k": space.k,
-                            "mc": plan.mc,
-                            "kc": plan.kc,
-                            "nc": plan.nc,
-                            "mr": machine.mr,
-                            "nr": machine.nr,
-                        },
-                        plan=shard_plan,
-                        packed_a=packed_a,
-                        packed_b=packed_b,
-                        pool=arena,
-                        c=c,
-                        config=shards,
-                        workers=run_workers,
-                        backend=self.backend.name,
-                        verify=self.verify,
-                        exact_tiles=self.exact_tiles,
-                        timers=timers,
-                        element_bytes=machine.element_bytes,
-                    )
-                    c = c.copy()  # off the arena before it is destroyed
-                finally:
-                    arena.destroy()
+                c, shard_report, report = multiply_sharded(
+                    engine="goto",
+                    dims={
+                        "m": space.m,
+                        "n": space.n,
+                        "k": space.k,
+                        "mc": plan.mc,
+                        "kc": plan.kc,
+                        "nc": plan.nc,
+                        "mr": machine.mr,
+                        "nr": machine.nr,
+                    },
+                    row_extents=m_strips,
+                    col_extents=n_sizes,
+                    pack=lambda pool: (
+                        pack_a_goto(a, plan.mc, plan.kc, pool=pool),
+                        pack_b_goto(b, plan.kc, plan.nc, pool=pool),
+                    ),
+                    dtype=np.result_type(a, b),
+                    config=shards,
+                    workers=run_workers,
+                    backend=self.backend.name,
+                    verify=self.verify,
+                    exact_tiles=self.exact_tiles,
+                    timers=timers,
+                    element_bytes=machine.element_bytes,
+                )
+                counters.ipc_bytes = shard_report.ipc_bytes
             else:
+                assert packed_a is not None and packed_b is not None
                 verifier = faults = None
                 if self.verify is not None:
                     if self.verify.inject is not None:

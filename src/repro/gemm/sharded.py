@@ -9,12 +9,24 @@ executor (:mod:`repro.gemm.parallel`, with any registered backend)
 inside each shard.
 
 Transport is ``multiprocessing.shared_memory``: the parent packs A and B
-once through a :class:`~repro.packing.pool.SharedBufferPool`, then ships
-only *segment names* — workers attach the packed buffers zero-copy and
-rebuild the identical block-view grids with
+once into a process-wide :class:`~repro.packing.pool.SharedBufferPool`
+arena, then ships only *segment names* — workers attach the packed
+buffers zero-copy and rebuild the identical block-view grids with
 :func:`repro.packing.pack.grid_views`. C is a single shared output
 buffer; every shard writes its disjoint row x column panel, so no two
 processes ever touch the same byte of C.
+
+Lifetimes
+---------
+
+Nothing is spawned or allocated per call. One worker pool per start
+method lives for the whole process, sized to the largest *usable* shard
+count (:attr:`ShardPlan.processes`) seen so far, and is rebuilt only
+when it must grow, breaks, misses a deadline, or predates a
+:func:`~repro.gemm.backends.register_backend` (forked workers hold the
+registry as it was). :func:`multiply_sharded` leases A, B and C from
+the arena and hands them back once C is copied out. An ``atexit`` hook
+stops the pool and unlinks the arena; a worker whose parent dies exits.
 
 Bit-identity
 ------------
@@ -51,8 +63,10 @@ Fault tolerance
 ---------------
 
 A shard worker dying (``BrokenProcessPool``) triggers the same
-pool-rebuild ladder the experiment runtime uses: the unfinished shards'
-C panels are zeroed and resubmitted to a fresh pool, up to
+pool-rebuild ladder the experiment runtime uses: the broken pool is
+discarded — unless another caller already replaced it — and the
+unfinished shards' C panels are zeroed and resubmitted to a fresh pool,
+up to
 ``max_pool_rebuilds`` times, then degraded to inline in-parent execution
 (where kill-type faults are inert by construction). With the fallback
 disabled, a structured :class:`ShardExecutionError` names the shards
@@ -65,22 +79,30 @@ usual ladder and unrecoverable ones propagate as
 
 from __future__ import annotations
 
+import itertools
 import math
 import multiprocessing as mp
+import os
+import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from concurrent.futures import as_completed
 from dataclasses import dataclass, field
 from multiprocessing import shared_memory
+from multiprocessing import util as mp_util
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from repro.errors import CakeError, ConfigurationError, DeadlineExceededError
 from repro.core.cb_block import CBBlock
-from repro.gemm.backends.registry import backend_spec, registered_backends
+from repro.gemm.backends.registry import (
+    backend_spec,
+    registered_backends,
+    registry_generation,
+)
 from repro.gemm.microkernel import MicroKernel
 from repro.gemm.parallel import (
     PhaseTimers,
@@ -96,7 +118,7 @@ from repro.packing.pack import (
     PackedB,
     grid_views,
 )
-from repro.packing.pool import SegmentSpec, SharedBufferPool
+from repro.packing.pool import BufferPool, SegmentSpec, SharedBufferPool
 from repro.runtime.faults import NumericFaultInjector, mark_worker_process
 from repro.schedule.kfirst import kfirst_schedule
 from repro.schedule.space import BlockGrid, ComputationSpace
@@ -414,8 +436,8 @@ class ShardReport:
     """What a process-sharded run did, for ``GemmRun.shards``.
 
     ``shard_phase_seconds`` holds one dict per shard (ordered by shard
-    index) with the shard's grid coordinates and its worker's
-    pack/compute/reduce/verify/recover wall-clock. ``ipc_bytes`` is the
+    index) with the shard's grid coordinates, the pid that ran it and
+    its pack/compute/reduce/verify/recover wall-clock. ``ipc_bytes`` is the
     plan-derived inter-process traffic, ``ipc_lower_bound_bytes`` the
     memory-independent bound for the same process count
     (:func:`ipc_lower_bound_elements`); their ratio — :attr:`slack` —
@@ -522,12 +544,26 @@ def _pack_handle(
 #: cleanup. Set by :func:`_worker_init`.
 _UNTRACK_ATTACH = False
 
+#: Seconds between a shard worker's checks that its parent still lives.
+_ORPHAN_POLL_SECONDS = 0.25
 
-def _worker_init(untrack_attach: bool) -> None:
-    """Pool initializer: worker marking + tracker policy for attaches."""
+
+def _worker_init(untrack_attach: bool, parent: int) -> None:
+    """Pool initializer: worker marking, attach policy, orphan watchdog."""
     global _UNTRACK_ATTACH
     _UNTRACK_ATTACH = untrack_attach
     mark_worker_process()
+    threading.Thread(
+        target=_exit_when_orphaned, args=(parent,), daemon=True
+    ).start()
+
+
+def _exit_when_orphaned(parent: int) -> None:
+    """Exit once ``parent`` is gone: the pool outlives calls, so a parent
+    killed without running its ``atexit`` hook must not strand it."""
+    while os.getppid() == parent:
+        time.sleep(_ORPHAN_POLL_SECONDS)
+    os._exit(0)
 
 
 def _attach_segment(name: str) -> shared_memory.SharedMemory:
@@ -828,6 +864,7 @@ def _run_attached(
         "shard": task.span.index,
         "row": task.span.row,
         "col": task.span.col,
+        "pid": os.getpid(),
         "groups": len(groups),
         "phases": timers.as_dict(),
         "workers": timers.workers,
@@ -856,7 +893,60 @@ def _execute_shard(task: _ShardTask) -> dict:
                 pass  # frames still view the mapping; process exit frees it
 
 
-# -- orchestrator --------------------------------------------------------------
+# -- persistent executor ------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _PoolSlot:
+    """The live worker pool for one start method, and what it was built for."""
+
+    executor: ProcessPoolExecutor
+    size: int
+    generation: int
+    registry: int
+
+
+_POOLS: dict[str, _PoolSlot] = {}
+_POOLS_LOCK = threading.Lock()
+_GENERATIONS = itertools.count(1)
+#: The process-wide arena every sharded run leases A, B and C from.
+_ARENA = SharedBufferPool()
+
+
+def _forget_after_fork() -> None:
+    """A forked child owns none of its parent's pools or segments."""
+    global _POOLS_LOCK, _ARENA
+    _POOLS.clear()
+    _POOLS_LOCK = threading.Lock()
+    _ARENA = SharedBufferPool()
+
+
+if hasattr(os, "register_at_fork"):  # POSIX only; spawn never forks
+    os.register_at_fork(after_in_child=_forget_after_fork)
+
+
+def _shutdown_executor() -> None:
+    """Stop every shard pool and unlink the arena's segments."""
+    with _POOLS_LOCK:
+        slots = list(_POOLS.values())
+        _POOLS.clear()
+    for slot in slots:
+        _kill_pool(slot.executor)
+    _ARENA.destroy()
+
+
+_TEARDOWN_PID: int | None = None
+
+
+def _ensure_teardown() -> None:
+    """Register :func:`_shutdown_executor` once in this process, as a
+    multiprocessing finalizer: the interpreter runs those from its
+    ``atexit`` hook, and worker processes, which skip ``atexit``, run
+    them on their way out."""
+    global _TEARDOWN_PID
+    if _TEARDOWN_PID != os.getpid():
+        _TEARDOWN_PID = os.getpid()
+        mp_util.Finalize(None, _shutdown_executor, exitpriority=100)
 
 
 def _default_start_method() -> str:
@@ -874,19 +964,71 @@ def _kill_pool(pool: ProcessPoolExecutor) -> None:
         proc.join(timeout=2.0)
 
 
+def _submit(
+    start_method: str, size: int, tasks: list[tuple[int, _ShardTask]]
+) -> tuple[_PoolSlot, dict[Future, int]]:
+    """Submit ``tasks`` to the live pool, (re)building it if it has fewer
+    than ``size`` workers or predates a backend registration; a replaced
+    pool finishes its in-flight work. Holding the lock through submit
+    keeps other callers from retiring the pool in between; a pool that
+    already broke yields failed futures for the rebuild ladder."""
+    with _POOLS_LOCK:
+        slot = _POOLS.get(start_method)
+        if slot is not None and (
+            slot.size < size or slot.registry != registry_generation()
+        ):
+            slot.executor.shutdown(wait=False)
+            size = max(size, slot.size)
+            slot = None
+        if slot is None:
+            slot = _PoolSlot(
+                executor=ProcessPoolExecutor(
+                    max_workers=size,
+                    mp_context=mp.get_context(start_method),
+                    initializer=_worker_init,
+                    initargs=(start_method != "fork", os.getpid()),
+                ),
+                size=size,
+                generation=next(_GENERATIONS),
+                registry=registry_generation(),
+            )
+            _POOLS[start_method] = slot
+        futures: dict[Future, int] = {}
+        for index, task in tasks:
+            try:
+                future = slot.executor.submit(_execute_shard, task)
+            except BrokenProcessPool as exc:
+                future = Future()
+                future.set_exception(exc)
+            futures[future] = index
+        return slot, futures
+
+
+def _discard_pool(start_method: str, slot: _PoolSlot) -> None:
+    """Kill a broken or wedged pool; forget it only if it is still the
+    live one, so a caller never retires a pool another thread rebuilt."""
+    with _POOLS_LOCK:
+        live = _POOLS.get(start_method)
+        if live is not None and live.generation == slot.generation:
+            del _POOLS[start_method]
+    _kill_pool(slot.executor)
+
+
+# -- orchestrator --------------------------------------------------------------
+
+
 def _zero_panel(c: np.ndarray, span: ShardSpan) -> None:
     c[span.m0 : span.m0 + span.m_extent, span.n0 : span.n0 + span.n_extent] = 0
 
 
-def run_sharded(
+def multiply_sharded(
     *,
     engine: str,
     dims: dict,
-    plan: ShardPlan,
-    packed_a: PackedA,
-    packed_b: PackedB,
-    pool: SharedBufferPool,
-    c: np.ndarray,
+    row_extents: Sequence[int],
+    col_extents: Sequence[int],
+    pack: Callable[[BufferPool], "tuple[PackedA, PackedB]"],
+    dtype: np.dtype,
     config: ShardConfig,
     workers: int,
     backend: str,
@@ -894,14 +1036,15 @@ def run_sharded(
     exact_tiles: bool,
     timers: PhaseTimers,
     element_bytes: int,
-) -> tuple[ShardReport, VerifyReport | None]:
-    """Execute a shard plan over a process pool; heal or fail structured.
+) -> tuple[np.ndarray, ShardReport, VerifyReport | None]:
+    """An engine's whole sharded multiply: lease, plan, run, copy out.
 
-    ``packed_a``/``packed_b`` must have been packed through ``pool`` (a
-    :class:`~repro.packing.pool.SharedBufferPool`) and ``c`` leased from
-    it, zero-filled. On return, ``c`` holds the product — the caller
-    copies it out before destroying the arena. Worker phase timers are
-    summed into ``timers``; per-shard breakdowns, rebuild counts and the
+    ``pack(pool)`` packs A and B into the arena (timed as the pack
+    phase); C is leased there too and zero-filled. The product is
+    copied off the arena before the buffers go back for the next run;
+    if anything raises they are unlinked instead, since a shard may
+    still be writing into them. Worker phase timers are summed into
+    ``timers``; per-shard breakdowns, rebuild counts and the
     IPC-vs-bound comparison come back in the :class:`ShardReport`.
     """
     if backend not in registered_backends():
@@ -910,105 +1053,46 @@ def run_sharded(
             f"(worker processes rebuild the backend from its registry "
             f"entry); {backend!r} is not registered"
         )
-    handle_a = _pack_handle(packed_a, pool, kind="a")
-    handle_b = _pack_handle(packed_b, pool, kind="b")
-    c_segment = pool.segment_of(c)
-    tasks = {
-        span.index: _ShardTask(
-            engine=engine,
-            dims=dims,
-            span=span,
-            a_handle=handle_a,
-            b_handle=handle_b,
-            c_segment=c_segment,
-            workers=workers,
-            backend=backend,
-            verify=verify,
-            exact_tiles=exact_tiles,
-        )
-        for span in plan.spans
-    }
+    _ensure_teardown()
+    arena = _ARENA
+    plan = plan_shards(config.processes, row_extents, col_extents, dims["k"])
+    pack_start = time.perf_counter()
+    packed_a, packed_b = pack(arena)
+    timers.pack_seconds = time.perf_counter() - pack_start
+    c = arena.lease((dims["m"], dims["n"]), dtype)
+    leased = [*packed_a.buffers, *packed_b.buffers, c]
     start_method = config.start_method or _default_start_method()
-    ctx = mp.get_context(start_method)
-
-    def _remaining() -> float | None:
-        """Seconds left on the config deadline; raises once it passes."""
-        if config.deadline is None:
-            return None
-        remaining = config.deadline - time.monotonic()
-        if remaining <= 0:
-            raise DeadlineExceededError("shard")
-        return remaining
-
-    pending = dict(tasks)
-    results: dict[int, dict] = {}
-    rebuilds = 0
-    inline = 0
-    pool_exec: ProcessPoolExecutor | None = None
-    barrier_start = time.perf_counter()
     try:
-        while pending:
-            _remaining()
-            if rebuilds > config.max_pool_rebuilds:
-                if not config.inline_fallback:
-                    raise ShardExecutionError(
-                        shards=tuple(
-                            (tasks[i].span.row, tasks[i].span.col)
-                            for i in sorted(pending)
-                        ),
-                        rebuilds=rebuilds,
-                    )
-                # Degraded mode: run the unfinished shards in-parent.
-                # Kill-type numeric faults are inert here, so a
-                # persistently-killing plan still converges to the
-                # correct C (or raises through the verify ladder).
-                for index in sorted(pending):
-                    _remaining()
-                    task = pending.pop(index)
-                    _zero_panel(c, task.span)
-                    results[index] = _execute_shard(task)
-                    inline += 1
-                break
-            if pool_exec is None:
-                pool_exec = ProcessPoolExecutor(
-                    max_workers=min(config.processes, len(pending)),
-                    mp_context=ctx,
-                    initializer=_worker_init,
-                    initargs=(start_method != "fork",),
-                )
-            futures = {
-                pool_exec.submit(_execute_shard, task): index
-                for index, task in sorted(pending.items())
-            }
-            broken = False
-            try:
-                # The timeout bounds the whole barrier wait: a worker
-                # that hangs (not just crashes) past the deadline is
-                # killed via the finally-clause teardown rather than
-                # stranding this call forever.
-                for future in as_completed(futures, timeout=_remaining()):
-                    index = futures[future]
-                    try:
-                        results[index] = future.result()
-                    except BrokenProcessPool:
-                        broken = True
-                        break
-                    pending.pop(index)
-            except FuturesTimeoutError:
-                raise DeadlineExceededError("shard") from None
-            if broken:
-                _kill_pool(pool_exec)
-                pool_exec = None
-                rebuilds += 1
-                # Completed shards' disjoint C panels stand; every
-                # unfinished shard restarts from a zeroed panel.
-                for task in pending.values():
-                    _zero_panel(c, task.span)
-    finally:
-        if pool_exec is not None:
-            _kill_pool(pool_exec)
+        c[...] = 0
+        handle_a = _pack_handle(packed_a, arena, kind="a")
+        handle_b = _pack_handle(packed_b, arena, kind="b")
+        c_segment = arena.segment_of(c)
+        tasks = {
+            span.index: _ShardTask(
+                engine=engine,
+                dims=dims,
+                span=span,
+                a_handle=handle_a,
+                b_handle=handle_b,
+                c_segment=c_segment,
+                workers=workers,
+                backend=backend,
+                verify=verify,
+                exact_tiles=exact_tiles,
+            )
+            for span in plan.spans
+        }
+        barrier_start = time.perf_counter()
+        results, rebuilds, inline = _run_tasks(
+            tasks, c, config, start_method, plan.processes
+        )
+        timers.reduce_seconds += time.perf_counter() - barrier_start
+        out = c.copy()
+    except BaseException:
+        arena.discard(*leased)
+        raise
+    arena.release(*leased)
 
-    timers.reduce_seconds += time.perf_counter() - barrier_start
     ordered = [results[index] for index in sorted(results)]
     merged: VerifyReport | None = None
     for res in ordered:
@@ -1038,6 +1122,7 @@ def run_sharded(
                 "shard": res["shard"],
                 "row": res["row"],
                 "col": res["col"],
+                "pid": res["pid"],
                 "groups": res["groups"],
                 **res["phases"],
             }
@@ -1048,4 +1133,85 @@ def run_sharded(
         pool_rebuilds=rebuilds,
         inline_shards=inline,
     )
-    return report, merged
+    return out, report, merged
+
+
+def _run_tasks(
+    tasks: dict[int, _ShardTask],
+    c: np.ndarray,
+    config: ShardConfig,
+    start_method: str,
+    size: int,
+) -> tuple[dict[int, dict], int, int]:
+    """Run every shard on the persistent pool; heal or fail structured.
+
+    Returns the per-shard results, the pool rebuilds and the shards
+    that ran inline.
+    """
+
+    def _remaining() -> float | None:
+        """Seconds left on the config deadline; raises once it passes."""
+        if config.deadline is None:
+            return None
+        remaining = config.deadline - time.monotonic()
+        if remaining <= 0:
+            raise DeadlineExceededError("shard")
+        return remaining
+
+    pending = dict(tasks)
+    results: dict[int, dict] = {}
+    rebuilds = 0
+    inline = 0
+    slot: _PoolSlot | None = None
+    try:
+        while pending:
+            _remaining()
+            if rebuilds > config.max_pool_rebuilds:
+                if not config.inline_fallback:
+                    raise ShardExecutionError(
+                        shards=tuple(
+                            (tasks[i].span.row, tasks[i].span.col)
+                            for i in sorted(pending)
+                        ),
+                        rebuilds=rebuilds,
+                    )
+                # Degraded mode: run the unfinished shards in-parent.
+                # Kill-type numeric faults are inert here, so a
+                # persistently-killing plan still converges to the
+                # correct C (or raises through the verify ladder).
+                for index in sorted(pending):
+                    _remaining()
+                    task = pending.pop(index)
+                    _zero_panel(c, task.span)
+                    results[index] = _execute_shard(task)
+                    inline += 1
+                break
+            slot, futures = _submit(start_method, size, sorted(pending.items()))
+            broken = False
+            try:
+                # The timeout bounds the whole barrier wait: a worker
+                # that hangs (not just crashes) past the deadline is
+                # killed with its pool rather than stranding this call.
+                for future in as_completed(futures, timeout=_remaining()):
+                    index = futures[future]
+                    try:
+                        results[index] = future.result()
+                    except BrokenProcessPool:
+                        broken = True
+                        break
+                    pending.pop(index)
+            except FuturesTimeoutError:
+                raise DeadlineExceededError("shard") from None
+            if broken:
+                _discard_pool(start_method, slot)
+                rebuilds += 1
+                # Completed shards' disjoint C panels stand; every
+                # unfinished shard restarts from a zeroed panel.
+                for task in pending.values():
+                    _zero_panel(c, task.span)
+            slot = None
+    except DeadlineExceededError:
+        if slot is not None:
+            _discard_pool(start_method, slot)
+        raise
+    return results, rebuilds, inline

@@ -93,10 +93,12 @@ class BufferPool:
 
     def release(self, *buffers: np.ndarray) -> None:
         """Return buffers to the pool (caller must drop its references)."""
+        dropped: list[np.ndarray] = []
         with self._lock:
             for buf in buffers:
                 if buf.nbytes > self.max_retained_bytes or buf.size == 0:
-                    continue  # too big to retain / nothing to reuse
+                    dropped.append(buf)  # too big to retain / nothing to reuse
+                    continue
                 key = self._key(buf.shape, buf.dtype)
                 self._free.setdefault(key, []).append(buf)
                 self._free.move_to_end(key)
@@ -107,6 +109,12 @@ class BufferPool:
                 if not bucket:
                     del self._free[key]
                 self._retained_bytes -= victim.nbytes
+                dropped.append(victim)
+        self.discard(*dropped)
+
+    def discard(self, *buffers: np.ndarray) -> None:
+        """Let leased buffers go instead of retaining them (a no-op here;
+        :class:`SharedBufferPool` unlinks their segments)."""
 
     @property
     def retained_bytes(self) -> int:
@@ -188,9 +196,10 @@ class SharedBufferPool(BufferPool):
 
     The pool owns its segments: it keeps a strong reference to every
     (buffer, segment) pair so buffer ids stay stable for
-    :meth:`segment_of` lookups, and :meth:`destroy` closes **and
-    unlinks** them all. The creating process must call :meth:`destroy`
-    when the run is done; workers only ever attach.
+    :meth:`segment_of` lookups, unlinks the ones it stops retaining, and
+    :meth:`destroy` closes **and unlinks** them all. The creating
+    process must call :meth:`destroy` when it is done with the pool;
+    workers only ever attach.
     """
 
     def __init__(self, max_retained_bytes: int = DEFAULT_MAX_RETAINED_BYTES):
@@ -210,6 +219,14 @@ class SharedBufferPool(BufferPool):
         with self._segments_lock:
             self._segments[id(buf)] = (buf, segment)
         return buf
+
+    def discard(self, *buffers: np.ndarray) -> None:
+        """Unlink the segments of buffers that must not be reused: ones
+        :meth:`release` will not retain, and ones a failed run leased (a
+        shard worker may still be writing into them)."""
+        with self._segments_lock:
+            pairs = [self._segments.pop(id(buf), None) for buf in buffers]
+        _unlink([pair for pair in pairs if pair is not None])
 
     def segment_of(self, buf: np.ndarray) -> SegmentSpec:
         """The picklable handle for a buffer this pool allocated.
@@ -233,20 +250,25 @@ class SharedBufferPool(BufferPool):
 
         Buffers handed out by :meth:`lease` become invalid — callers
         must have copied any results they keep (the sharded executor
-        copies C out of the arena before destroying it).
+        copies C out of the arena before releasing it).
         """
         self.clear()
         with self._segments_lock:
             pairs = list(self._segments.values())
             self._segments.clear()
-        while pairs:
-            buf, segment = pairs.pop()
-            del buf  # drop this reference; callers may still hold views
-            try:
-                segment.close()
-            except BufferError:  # pragma: no cover - views still exported
-                pass  # mapping lives until those views die; unlink anyway
-            try:
-                segment.unlink()
-            except FileNotFoundError:  # pragma: no cover - already unlinked
-                pass
+        _unlink(pairs)
+
+
+def _unlink(pairs: list) -> None:
+    """Close and unlink each ``(buffer, segment)`` pair's segment."""
+    while pairs:
+        buf, segment = pairs.pop()
+        del buf  # drop this reference; callers may still hold views
+        try:
+            segment.close()
+        except BufferError:  # pragma: no cover - views still exported
+            pass  # mapping lives until those views die; unlink anyway
+        try:
+            segment.unlink()
+        except FileNotFoundError:  # pragma: no cover - already unlinked
+            pass

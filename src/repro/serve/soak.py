@@ -89,7 +89,7 @@ def _variants(state_root: Path, include_sharded: bool) -> list[dict]:
         )
 
     def kill(uid: str) -> dict:
-        # A shard worker dies mid-group; run_sharded's rebuild ladder
+        # A shard worker dies mid-group; the shard executor's rebuild ladder
         # heals it inside the engine call. spawn, not fork: the serve
         # dispatcher is multi-threaded, and forking a threaded parent
         # can deadlock a child on an inherited lock — the exact class

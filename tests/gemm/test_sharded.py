@@ -13,14 +13,26 @@ surface a structured error — never a silently partial C.
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import multiprocessing as mp
+import os
+import signal
+import subprocess
+import sys
+import time
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import ConfigurationError
+import repro
+from repro.errors import ConfigurationError, DeadlineExceededError
 from repro.gemm import CakeGemm, GotoGemm
+from repro.gemm.backends import backend_spec, register_backend
+from repro.gemm.backends import registry as backend_registry
 from repro.gemm.sharded import (
     IPC_SLACK_FACTOR,
     ShardConfig,
@@ -431,3 +443,223 @@ class TestShardFaultTolerance:
         assert (
             run.verify.retry_recoveries + run.verify.oracle_recoveries >= 1
         )
+
+
+# -- persistent pool and arena -------------------------------------------------
+
+
+def _pids(run) -> set[int]:
+    return {shard["pid"] for shard in run.shards.shard_phase_seconds}
+
+
+def _live_children() -> set[int]:
+    return {proc.pid for proc in mp.active_children()}
+
+
+def _send_sharded_product(a, b, conn) -> None:
+    conn.send(CakeGemm(intel_i9_10900k(), cores=1, processes=2).multiply(a, b).c)
+
+
+class TestPersistentPool:
+    def test_consecutive_calls_reuse_the_workers(self, intel, operands):
+        a, b = operands
+        first = _sharded(intel, "cake", a, b, 2)
+        workers = _live_children()
+        assert _pids(first) <= workers  # the workers outlived the call
+        second = _sharded(intel, "cake", a, b, 2)
+        # Every shard of the second call ran in a worker that was alive
+        # before it started: nothing was spawned for it.
+        assert _pids(second) <= workers
+        assert os.getpid() not in _pids(second)
+        assert np.array_equal(first.c, second.c)
+
+    def test_rebuilt_pool_serves_the_next_call(
+        self, intel, operands, tmp_path
+    ):
+        a, b = operands
+        healed = _sharded(
+            intel, "cake", a, b, 2,
+            verify=VerifyConfig(inject=_kill_plan(state_dir=tmp_path)),
+        )
+        assert healed.shards.pool_rebuilds >= 1
+        rebuilt = _live_children()
+        clean = _sharded(intel, "cake", a, b, 2)
+        assert clean.shards.pool_rebuilds == 0
+        assert _pids(clean) <= rebuilt
+        assert np.array_equal(clean.c, healed.c)
+
+    def test_missed_deadline_discards_the_pool(
+        self, intel, operands, tmp_path
+    ):
+        a, b = operands
+        before = _pids(_sharded(intel, "cake", a, b, 2))
+        hang = VerifyConfig(
+            enabled=False,
+            inject=NumericFaultPlan(
+                rules=(NumericFaultRule(kind="hang", hang_seconds=30.0),),
+                state_dir=str(tmp_path),
+            ),
+        )
+        with pytest.raises(DeadlineExceededError):
+            _sharded(
+                intel, "cake", a, b,
+                ShardConfig(processes=2, deadline=time.monotonic() + 1.0),
+                verify=hang,
+            )
+        assert not before & _live_children()  # hung pool killed
+        after = _sharded(intel, "cake", a, b, 2)
+        assert not before & _pids(after)
+        assert np.array_equal(after.c, _serial(intel, "cake", a, b).c)
+
+    def test_concurrent_callers_are_each_bit_identical(self, intel, rng):
+        m, n, k = SHAPE
+        problems = [
+            (rng.standard_normal((m, k)), rng.standard_normal((k, n)))
+            for _ in range(4)
+        ]
+        serial = [_serial(intel, "cake", a, b).c for a, b in problems]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)  # interleave the callers finely
+        try:
+            with ThreadPoolExecutor(max_workers=4) as threads:
+                runs = list(
+                    threads.map(
+                        lambda ab: _sharded(intel, "cake", *ab, 2),
+                        problems,
+                        timeout=120,
+                    )
+                )
+        finally:
+            sys.setswitchinterval(interval)
+        for run, expected in zip(runs, serial):
+            assert np.array_equal(run.c, expected)
+
+    @pytest.mark.skipif(
+        "fork" not in mp.get_all_start_methods(),
+        reason="fork start method unavailable",
+    )
+    def test_forked_child_builds_its_own_pool(self, intel, operands):
+        # The child inherits a copy of the parent's live pool and arena;
+        # it must build its own rather than submit to the parent's.
+        a, b = operands
+        _sharded(intel, "cake", a, b, 2)
+        ctx = mp.get_context("fork")
+        reader, writer = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=_send_sharded_product, args=(a, b, writer))
+        child.start()
+        try:
+            assert reader.poll(60), "the forked child's sharded call hung"
+            c = reader.recv()
+        finally:
+            child.terminate()
+            child.join(timeout=10)
+        assert not child.is_alive()
+        assert np.array_equal(c, _serial(intel, "cake", a, b).c)
+
+    def test_backend_registered_after_fork_runs_sharded(
+        self, intel, operands
+    ):
+        a, b = operands
+        _sharded(intel, "cake", a, b, 2)  # the pool now exists
+        name = "test-late-numpy"
+        register_backend(
+            dataclasses.replace(backend_spec("numpy"), name=name)
+        )
+        try:
+            serial = _serial(intel, "cake", a, b, backend=name)
+            run = _sharded(intel, "cake", a, b, 2, backend=name)
+        finally:
+            backend_registry._REGISTRY.pop(name, None)
+        assert run.backend == name
+        assert np.array_equal(run.c, serial.c)
+
+
+_TWO_SHARDED_CALLS = """
+import json, os, sys
+import numpy as np
+from repro.gemm import CakeGemm
+from repro.machines import intel_i9_10900k
+
+rng = np.random.default_rng(1)
+a, b = rng.standard_normal((300, 170)), rng.standard_normal((170, 420))
+engine = CakeGemm(intel_i9_10900k(), cores=1, processes=2)
+pids = set()
+for _ in range(2):
+    pids |= {s["pid"] for s in engine.multiply(a, b).shards.shard_phase_seconds}
+if len(sys.argv) > 1:
+    with open(sys.argv[1] + ".tmp", "w") as out:
+        json.dump(sorted(pids), out)
+    os.replace(sys.argv[1] + ".tmp", sys.argv[1])
+    sys.stdin.read()  # block until killed
+"""
+
+
+def _script_env() -> dict:
+    env = dict(os.environ)
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")])
+    )
+    return env
+
+
+def _shm_segments() -> set[str]:
+    return {p.name for p in Path("/dev/shm").glob("psm_*")}
+
+
+def _running(pid: int) -> bool:
+    """Alive and not a zombie waiting for an absent reaper."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat[stat.rindex(")") + 2] != "Z"
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux"), reason="reads /dev/shm and /proc"
+)
+class TestTeardown:
+    def test_exit_leaves_no_segment_and_no_tracker_warning(self):
+        before = _shm_segments()
+        done = subprocess.run(
+            [sys.executable, "-c", _TWO_SHARDED_CALLS],
+            env=_script_env(),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "leaked shared_memory" not in done.stderr
+        assert not _shm_segments() - before
+
+    def test_killed_parent_does_not_strand_its_workers(self, tmp_path):
+        before = _shm_segments()
+        pid_file = tmp_path / "pids.json"
+        parent = subprocess.Popen(
+            [sys.executable, "-c", _TWO_SHARDED_CALLS, str(pid_file)],
+            env=_script_env(),
+            stdin=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
+        )
+        try:
+            waited = time.monotonic() + 120
+            while not pid_file.exists():
+                assert parent.poll() is None, "parent exited early"
+                assert time.monotonic() < waited, "parent never reported"
+                time.sleep(0.05)
+            workers = json.loads(pid_file.read_text())
+            assert workers and parent.pid not in workers
+            assert all(_running(pid) for pid in workers)
+        finally:
+            parent.send_signal(signal.SIGKILL)
+            parent.wait()
+        gone_by = time.monotonic() + 5.0
+        while any(_running(pid) for pid in workers):
+            assert time.monotonic() < gone_by, "orphaned shard workers"
+            time.sleep(0.05)
+        # With the workers gone, the killed parent's resource tracker
+        # sees EOF and unlinks the arena segments it never released.
+        while _shm_segments() - before:
+            assert time.monotonic() < gone_by + 5.0, "stranded segments"
+            time.sleep(0.05)

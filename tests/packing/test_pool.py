@@ -101,6 +101,31 @@ class TestDestroy:
             shared_memory.SharedMemory(name=spec.name)
 
 
+class TestUnretained:
+    def test_release_unlinks_what_it_will_not_retain(self):
+        pool = SharedBufferPool(max_retained_bytes=64)
+        try:
+            buf = pool.lease((4, 4), np.float64)  # 128 B, over the cap
+            spec = pool.segment_of(buf)
+            pool.release(buf)
+            del buf
+            assert pool.retained_bytes == 0
+            with pytest.raises(FileNotFoundError):
+                shared_memory.SharedMemory(name=spec.name)
+        finally:
+            pool.destroy()
+
+    def test_discarded_buffers_are_never_leased_again(self, pool):
+        buf = pool.lease((4, 4), np.float64)
+        spec = pool.segment_of(buf)
+        pool.discard(buf)
+        del buf
+        with pytest.raises(FileNotFoundError):
+            shared_memory.SharedMemory(name=spec.name)
+        again = pool.lease((4, 4), np.float64)
+        assert pool.segment_of(again).name != spec.name
+
+
 class TestInProcessPoolUnchanged:
     def test_zero_byte_lease_short_circuits(self):
         pool = BufferPool()
