@@ -20,9 +20,12 @@ The contract is **bit-for-bit equivalence**, not approximation: integer
 counters are identical to the scalar walk's, and every float (per-block
 seconds, the accumulated :class:`BlockTime`, ``tile_cycles``) is produced
 by the same IEEE operations in the same order, so even golden-file tests
-that pin formatted output cannot tell the paths apart. The scalar walk
-remains available behind the engines' ``exact_walk=True`` flag and is the
-oracle the equivalence tests run against.
+that pin formatted output cannot tell the paths apart. That is what lets
+``multiply`` take its accounting from here (memoized per plan and
+schedule, :meth:`~repro.gemm.plan.CakePlan.accounting`) instead of
+walking blocks. The scalar walk remains only as the oracle behind the
+engines' ``analyze`` with ``exact_walk=True``, which the equivalence
+tests run against.
 """
 
 from __future__ import annotations
@@ -32,9 +35,8 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.gemm.counters import TrafficCounters
 from repro.gemm.plan import CakePlan, GotoPlan
-from repro.gemm.result import GemmRun
+from repro.gemm.result import GemmRun, accounting_run
 from repro.machines.spec import MachineSpec
-from repro.packing.cost import packing_cost
 from repro.perfmodel.roofline import block_times_batch
 from repro.schedule.kfirst import kfirst_order_arrays
 from repro.schedule.reuse import (
@@ -43,7 +45,6 @@ from repro.schedule.reuse import (
     surface_lru_replay,
 )
 from repro.schedule.space import ComputationSpace
-from repro.util import split_length
 
 
 def _ceil_div_arr(numerator: np.ndarray, denominator) -> np.ndarray:
@@ -78,8 +79,9 @@ def analyze_cake_batch(
 ) -> GemmRun:
     """CAKE's analytic walk (:meth:`CakeGemm.analyze`), batched.
 
-    Identical accounting to ``CakeGemm(...)._run(space)`` — the same plan,
-    the same K-first order, the same LRU residency decisions, the same
+    Identical accounting to the scalar walk behind
+    ``CakeGemm(machine, exact_walk=True).analyze`` — the same plan, the
+    same K-first order, the same LRU residency decisions, the same
     roofline pricing — with the per-block Python loop replaced by array
     passes plus one tight replay loop for the LRU.
 
@@ -103,9 +105,6 @@ def analyze_cake_batch(
     sa, sb, sc = grid.surface_arrays(mi, ni, ki)
 
     counters = TrafficCounters()
-    counters.ext_pack = 2 * (space.m * space.k + space.k * space.n)
-    pack = packing_cost(machine, space.m * space.k, space.k * space.n)
-    counters.macs = space.macs
 
     # Residency: replay the exact LRU the scalar walk drives. C-surface
     # occurrence counts stand in for the walk's ``progress`` dict.
@@ -136,7 +135,7 @@ def analyze_cake_batch(
     counters.ext_c_write = int(c_write_el.sum())
     counters.ext_c_spill = spill
 
-    # Per-core strip split: closed form of _core_strips per M-extent.
+    # Per-core strip split: closed form of core_strips per M-extent.
     m_sizes, n_sizes, k_sizes = grid.size_arrays()
     chunk_m = _ceil_div_arr(m_sizes, plan.cores)  # == max(strips)
     active_m = _ceil_div_arr(m_sizes, chunk_m)  # == len(strips)
@@ -167,24 +166,8 @@ def analyze_cake_batch(
         int_elements=internal,
     )
 
-    return GemmRun(
-        engine="cake",
-        machine=machine,
-        space=space,
-        cores=plan.cores,
-        counters=counters,
-        time=batch.total(),
-        packing_seconds=pack.seconds,
-        bound_blocks=batch.bound_tallies(),
-        plan_summary={
-            "alpha": plan.alpha,
-            "mc": plan.mc,
-            "kc": plan.kc,
-            "m_block": plan.m_block,
-            "n_block": plan.n_block,
-            "blocks": grid.num_blocks,
-        },
-        c=None,
+    return accounting_run(
+        "cake", plan, counters, batch.total(), batch.bound_tallies()
     )
 
 
@@ -208,18 +191,8 @@ def analyze_goto_batch(
         plan = GotoPlan.from_problem(machine, space, cores=cores)
 
     counters = TrafficCounters()
-    counters.ext_pack = 2 * (space.m * space.k + space.k * space.n)
-    pack = packing_cost(machine, space.m * space.k, space.k * space.n)
-    counters.macs = space.macs
-
-    m_strips = np.asarray(
-        split_length(space.m, min(plan.mc, space.m)), dtype=np.int64
-    )
-    n_sizes = np.asarray(
-        split_length(space.n, min(plan.nc, space.n)), dtype=np.int64
-    )
-    k_sizes = np.asarray(
-        split_length(space.k, min(plan.kc, space.k)), dtype=np.int64
+    m_strips, n_sizes, k_sizes = (
+        np.asarray(sizes, dtype=np.int64) for sizes in plan.tiles()
     )
 
     starts = np.arange(0, len(m_strips), plan.cores, dtype=np.int64)
@@ -270,20 +243,6 @@ def analyze_goto_batch(
         int_elements=np.broadcast_to(internal, lattice).reshape(-1),
     )
 
-    return GemmRun(
-        engine="goto",
-        machine=machine,
-        space=space,
-        cores=plan.cores,
-        counters=counters,
-        time=batch.total(),
-        packing_seconds=pack.seconds,
-        bound_blocks=batch.bound_tallies(),
-        plan_summary={
-            "mc": plan.mc,
-            "kc": plan.kc,
-            "nc": plan.nc,
-            "m_strips": len(m_strips),
-        },
-        c=None,
+    return accounting_run(
+        "goto", plan, counters, batch.total(), batch.bound_tallies()
     )

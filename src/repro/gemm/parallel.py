@@ -39,8 +39,8 @@ backend the result is bit-identical across worker counts; across
 (bit-exact for backends declaring determinism).
 
 Traffic/timing accounting never runs here — counters come from the
-engines' deterministic schedule walk, so ``GemmRun`` rows are identical
-whether numerics ran serial or parallel (asserted in tests).
+plan's deterministic (batch-analyzed) schedule, so ``GemmRun`` rows are
+identical whether numerics ran serial or parallel (asserted in tests).
 
 Phase timers
 ------------
@@ -175,9 +175,9 @@ def core_strips(rows: int, cores: int) -> list[int]:
 
     Returns at most ``cores`` strip heights differing by at most the
     rounding chunk; fewer strips than cores means idle cores (only when
-    ``rows < cores``). Shared by the CAKE engine's schedule walk and the
-    process-sharded executor, which must carve identical strips for the
-    bit-identity contract to hold.
+    ``rows < cores``). Shared by the CAKE walk and its strip-group
+    builder, which in-process runs and shard workers both use, so the
+    strips are identical for the bit-identity contract to hold.
     """
     return split_length(rows, ceil_div(rows, cores))
 

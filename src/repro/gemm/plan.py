@@ -15,22 +15,39 @@ This is where CAKE's "no design search" claim lives. A
 A :class:`GotoPlan` fills its caches instead (Section 4.1): square
 L2-resident A blocks and an LLC-filling B panel, with no bandwidth term —
 which is exactly why its DRAM demand grows with core count.
+
+A plan is also everything engine-specific about running a product —
+packing, the shard grid's block rows and columns, the summary, the
+memoized accounting and the one strip-group builder — so one pipeline
+(:class:`~repro.gemm.engine.GemmEngine`) drives both engines. Plans are
+small and picklable; a shard task ships one.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import TYPE_CHECKING
+
+import numpy as np
 
 from repro.core.cb_block import CBBlock
 from repro.core.cpu_model import CakeCpuParams, GotoCpuParams
 from repro.core.lru_sizing import solve_cake_mc, solve_goto_tiles
 from repro.errors import ConfigurationError
 from repro.gemm.microkernel import MicroKernel
+from repro.gemm.parallel import StripGroup, StripTask, core_strips
+from repro.gemm.result import GemmRun
 from repro.machines.spec import MachineSpec
+from repro.packing.pack import PackedA, PackedB, PackedOperands, pack_a, pack_b
+from repro.packing.pool import BufferPool
 from repro.schedule.kfirst import kfirst_schedule
 from repro.schedule.space import BlockCoord, BlockGrid, ComputationSpace
-from repro.util import require_positive
+from repro.util import prefix_offsets, require_positive, split_length
+
+if TYPE_CHECKING:  # pragma: no cover - hints only
+    from repro.gemm.sharded import ShardSpan
 
 #: Hard cap on the aspect factor: past this, blocks are so wide that the
 #: cache-sizing rule forces degenerate mc, and the machine is simply too
@@ -39,8 +56,9 @@ MAX_ALPHA = 64.0
 
 #: Explicit bound on the process-wide plan memos. Long-lived servers see
 #: an unbounded stream of shape classes; the memo must not grow planner
-#: memory without limit, so both memos evict LRU past this many plans
-#: (re-deriving an evicted plan is pure math, microseconds).
+#: memory without limit, so every memo evicts LRU past this many entries
+#: (re-deriving an evicted plan is pure math, microseconds; re-pricing
+#: one is a single batch-analyzer pass).
 PLAN_MEMO_MAXSIZE = 1024
 
 #: Candidate aspect factors for the bandwidth-matching scan.
@@ -177,8 +195,46 @@ class PlanOverride:
         return cls(**doc)
 
 
+class _Plan:
+    """What every engine plan shares. Subclasses are frozen dataclasses
+    with ``machine``, ``space``, ``cores`` and ``kc`` fields and a
+    ``_pack_chunks`` triple ``(rows, kc, cols)``: A packs into
+    ``rows x kc`` blocks and B into ``kc x cols`` panels."""
+
+    __slots__ = ()
+
+    @property
+    def kernel(self) -> MicroKernel:
+        """The register-tile micro-kernel this plan drives."""
+        return MicroKernel(mr=self.machine.mr, nr=self.machine.nr, kc=self.kc)
+
+    def accounting(self, schedule: str | None = None) -> GemmRun:
+        """Traffic and timing of this plan under ``schedule`` (``c=None``).
+
+        The batch analyzer's result, memoized per (plan, schedule); each
+        call gets its own copy of the mutable parts.
+        """
+        return _fresh(_accounting(self, schedule))
+
+    def pack(
+        self,
+        a: np.ndarray,
+        b: np.ndarray,
+        *,
+        pool: BufferPool | None = None,
+        exact: bool = False,
+        checksums: bool = False,
+    ) -> tuple[PackedA, PackedB]:
+        """Pack A and B into this plan's blocks and panels."""
+        rows, kc, cols = self._pack_chunks
+        return (
+            pack_a(a, rows, kc, pool=pool, exact=exact, checksums=checksums),
+            pack_b(b, kc, cols, pool=pool, exact=exact, checksums=checksums),
+        )
+
+
 @dataclass(frozen=True, slots=True)
-class CakePlan:
+class CakePlan(_Plan):
     """Analytically-derived CAKE tiling for one (machine, problem) pair."""
 
     machine: MachineSpec
@@ -270,11 +326,6 @@ class CakePlan:
         return mm * nn + 2 * (mm * kk + kk * nn)
 
     @property
-    def kernel(self) -> MicroKernel:
-        """The register-tile micro-kernel this plan drives."""
-        return MicroKernel(mr=self.machine.mr, nr=self.machine.nr, kc=self.kc)
-
-    @property
     def cpu_params(self) -> CakeCpuParams:
         """The plan as Section 4.2 parameters (for the equation layer)."""
         return CakeCpuParams(
@@ -293,6 +344,101 @@ class CakePlan:
     def schedule(self) -> list[BlockCoord]:
         """The K-first block order of Algorithm 2."""
         return kfirst_schedule(self.grid())
+
+    def order(self, schedule: str | None = None) -> list[BlockCoord]:
+        """The block order of a schedule variant (``None``: K-first)."""
+        if schedule is None or schedule == "k-first":
+            return self.schedule()
+        from repro.schedule.variants import build_schedule
+
+        return build_schedule(schedule, self.grid())
+
+    # -- execution -----------------------------------------------------------
+
+    def summary(self) -> dict:
+        """The tiling, as ``GemmRun.plan_summary`` reports it."""
+        return {
+            "alpha": self.alpha,
+            "mc": self.mc,
+            "kc": self.kc,
+            "m_block": self.m_block,
+            "n_block": self.n_block,
+            "blocks": self.grid().num_blocks,
+        }
+
+    def override_summary(self, override: "PlanOverride") -> dict:
+        """What an override adds to the summary: itself and the schedule."""
+        return {
+            "override": override.as_dict(),
+            "schedule": override.schedule or "k-first",
+        }
+
+    def _analyze(self, schedule: str | None) -> GemmRun:
+        from repro.analysis.batch import analyze_cake_batch  # lazy: pkg cycle
+
+        return analyze_cake_batch(
+            self.machine, self.space, plan=self, schedule=schedule or "k-first"
+        )
+
+    @property
+    def _pack_chunks(self) -> tuple[int, int, int]:
+        return self.m_block, self.kc, self.n_block
+
+    def shard_extents(self) -> tuple[list[int], list[int]]:
+        """Heights of the block rows and widths of the block columns."""
+        m_sizes, n_sizes, _ = self.grid().size_arrays()
+        return m_sizes.tolist(), n_sizes.tolist()
+
+    def strip_groups(
+        self,
+        ops: PackedOperands,
+        c: np.ndarray,
+        *,
+        span: "ShardSpan | None" = None,
+        schedule: str | None = None,
+        strips: int | None = None,
+    ) -> list[StripGroup]:
+        """One strip group per CB block, in ``schedule`` order.
+
+        Each block's M extent splits into ``strips`` row strips (default:
+        one per modelled core). With a ``span`` only that shard's blocks
+        are kept, but the *whole* schedule is still walked, so group
+        indices (the fault-injection and verification keys) and strip
+        shapes match the in-process run's exactly — the sharded
+        bit-identity argument.
+        """
+        grid = self.grid()
+        suffix = "" if span is None else f" [shard ({span.row}, {span.col})]"
+        groups: list[StripGroup] = []
+        for index, coord in enumerate(self.order(schedule)):
+            if span is not None and not (
+                span.mi0 <= coord.mi < span.mi1
+                and span.ni0 <= coord.ni < span.ni1
+            ):
+                continue
+            ext = grid.extent(coord)
+            m0, n0, _k0 = grid.origin(coord)
+            a_block = ops.a.block(coord.mi, coord.ki)
+            b_panel = ops.b.panel(coord.ki, coord.ni)
+            c_view = c[m0 : m0 + ext.m, n0 : n0 + ext.n]
+            heights = core_strips(ext.m, strips or self.cores)
+            tasks = [
+                StripTask(a_block[r0 : r0 + h], b_panel, c_view[r0 : r0 + h])
+                for r0, h in zip(prefix_offsets(heights), heights)
+            ]
+            groups.append(
+                _strip_group(
+                    ops, tasks, range(coord.mi, coord.mi + 1), coord.ki,
+                    coord.ni,
+                    index=index,
+                    coord=(coord.mi, coord.ni, coord.ki),
+                    label=f"cake block (mi={coord.mi}, ni={coord.ni}, "
+                    f"ki={coord.ki}){suffix}",
+                    panel=c_view,
+                    operand_a=a_block,
+                )
+            )
+        return groups
 
 
 @lru_cache(maxsize=PLAN_MEMO_MAXSIZE)
@@ -355,7 +501,7 @@ def _cake_plan(
 
 
 @dataclass(frozen=True, slots=True)
-class GotoPlan:
+class GotoPlan(_Plan):
     """Cache-filling GOTO tiling (Section 4.1) for the baseline engine."""
 
     machine: MachineSpec
@@ -385,11 +531,6 @@ class GotoPlan:
         return _goto_plan(machine, space, _resolve_cores(machine, cores), override)
 
     @property
-    def kernel(self) -> MicroKernel:
-        """The register-tile micro-kernel this plan drives."""
-        return MicroKernel(mr=self.machine.mr, nr=self.machine.nr, kc=self.kc)
-
-    @property
     def cpu_params(self) -> GotoCpuParams:
         """The plan as Section 4.1 parameters (for the equation layer)."""
         return GotoCpuParams(
@@ -400,6 +541,102 @@ class GotoPlan:
             mr=self.machine.mr,
             nr=self.machine.nr,
         )
+
+    def tiles(self) -> tuple[list[int], list[int], list[int]]:
+        """The ``mc`` strips of M, ``nc`` panels of N and ``kc`` slices
+        of K, ragged edges last."""
+        space = self.space
+        return (
+            split_length(space.m, min(self.mc, space.m)),
+            split_length(space.n, min(self.nc, space.n)),
+            split_length(space.k, min(self.kc, space.k)),
+        )
+
+    # -- execution -----------------------------------------------------------
+
+    def summary(self) -> dict:
+        """The tiling, as ``GemmRun.plan_summary`` reports it."""
+        return {
+            "mc": self.mc,
+            "kc": self.kc,
+            "nc": self.nc,
+            "m_strips": len(self.tiles()[0]),
+        }
+
+    def override_summary(self, override: "PlanOverride") -> dict:
+        """What an override adds to the summary (GOTO has one loop order)."""
+        return {"override": override.as_dict()}
+
+    def _analyze(self, schedule: str | None) -> GemmRun:
+        # GOTO has one loop order: ``schedule`` has no meaning here.
+        from repro.analysis.batch import analyze_goto_batch  # lazy: pkg cycle
+
+        return analyze_goto_batch(self.machine, self.space, plan=self)
+
+    @property
+    def _pack_chunks(self) -> tuple[int, int, int]:
+        return self.mc, self.kc, self.nc
+
+    def shard_extents(self) -> tuple[list[int], list[int]]:
+        """Heights of the ``mc`` strips and widths of the ``nc`` panels."""
+        m_strips, n_sizes, _ = self.tiles()
+        return m_strips, n_sizes
+
+    def strip_groups(
+        self,
+        ops: PackedOperands,
+        c: np.ndarray,
+        *,
+        span: "ShardSpan | None" = None,
+        schedule: str | None = None,
+        strips: int | None = None,
+    ) -> list[StripGroup]:
+        """One strip group per ``(nc, kc)`` slice, in the N-then-K nest.
+
+        Every ``mc`` strip of a slice updates a disjoint C row panel, so
+        all waves of the slice form one group; the cross-slice barrier
+        keeps each C element's accumulation order identical to the
+        serial nest. Group indices are the nest positions
+        ``ni * Kb + ki``. With a ``span`` only that shard's strips and
+        panels are built, and strip indices within a group are
+        shard-local, which only moves fault-injection targets, never
+        the numerics. GOTO has one loop order and fixed ``mc`` strips,
+        so ``schedule`` and ``strips`` are ignored.
+        """
+        m_strips, n_sizes, k_sizes = self.tiles()
+        m_off, n_off = prefix_offsets(m_strips), prefix_offsets(n_sizes)
+        kb = len(k_sizes)
+        if span is None:
+            rows, cols = range(len(m_strips)), range(len(n_sizes))
+        else:
+            rows, cols = range(span.mi0, span.mi1), range(span.ni0, span.ni1)
+        r0 = m_off[rows.start]
+        r1 = m_off[rows.stop - 1] + m_strips[rows.stop - 1]
+        suffix = "" if span is None else f" [shard ({span.row}, {span.col})]"
+        groups: list[StripGroup] = []
+        for ni in cols:
+            n0, n1 = n_off[ni], n_off[ni] + n_sizes[ni]
+            for ki in range(kb):
+                b_panel = ops.b.panel(ki, ni)
+                tasks = [
+                    StripTask(
+                        ops.a.block(s, ki),
+                        b_panel,
+                        c[m_off[s] : m_off[s] + m_strips[s], n0:n1],
+                    )
+                    for s in rows
+                ]
+                groups.append(
+                    _strip_group(
+                        ops, tasks, rows, ki, ni,
+                        index=ni * kb + ki,
+                        coord=(ni, ki),
+                        label=f"goto slice (ni={ni}, ki={ki}){suffix}",
+                        panel=c[r0:r1, n0:n1],
+                        operand_a=ops.stack_a(rows, ki) if ops.stack else None,
+                    )
+                )
+        return groups
 
 
 @lru_cache(maxsize=PLAN_MEMO_MAXSIZE)
@@ -432,16 +669,59 @@ def _goto_plan(
     )
 
 
+def _strip_group(
+    ops: PackedOperands,
+    tasks: list[StripTask],
+    a_strips: range,
+    k_panel: int,
+    n_panel: int,
+    **fields,
+) -> StripGroup:
+    """A group over ``tasks`` carrying the checksum material of the A
+    strips ``a_strips`` and the B panel ``(k_panel, n_panel)``."""
+    cs_a, mag_a = ops.sums_a(a_strips, k_panel)
+    cs_b, mag_b = ops.sums_b(k_panel, n_panel)
+    return StripGroup(
+        tasks=tasks,
+        checksum_a=cs_a,
+        checksum_b=cs_b,
+        mag_a=mag_a,
+        mag_b=mag_b,
+        fresh_panel=k_panel == 0,
+        **fields,
+    )
+
+
+@lru_cache(maxsize=PLAN_MEMO_MAXSIZE)
+def _accounting(plan: "CakePlan | GotoPlan", schedule: str | None) -> GemmRun:
+    """The memoized body of the plans' ``accounting`` methods."""
+    return plan._analyze(schedule)
+
+
+def _fresh(run: GemmRun) -> GemmRun:
+    """A memoized run with its own copies of every mutable part."""
+    return dataclasses.replace(
+        run,
+        counters=dataclasses.replace(run.counters),
+        bound_blocks=dict(run.bound_blocks),
+        plan_summary=dict(run.plan_summary),
+    )
+
+
 def plan_cache_info() -> dict[str, object]:
-    """Hit/miss/size counters for both plan memos (for audits and tests)."""
+    """Hit/miss/size counters for the plan and accounting memos (for
+    audits and tests)."""
     return {
         "maxsize": PLAN_MEMO_MAXSIZE,
         "cake": _cake_plan.cache_info()._asdict(),
         "goto": _goto_plan.cache_info()._asdict(),
+        "accounting": _accounting.cache_info()._asdict(),
     }
 
 
 def clear_plan_memos() -> None:
-    """Drop every memoized plan (tests; never needed for correctness)."""
+    """Drop every memoized plan and accounting (tests; never needed for
+    correctness)."""
     _cake_plan.cache_clear()
     _goto_plan.cache_clear()
+    _accounting.cache_clear()

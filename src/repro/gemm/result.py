@@ -16,10 +16,12 @@ import numpy as np
 
 from repro.gemm.counters import TrafficCounters
 from repro.machines.spec import MachineSpec
+from repro.packing.cost import packing_cost
 from repro.perfmodel.roofline import ZERO_TIME, BlockTime
 from repro.schedule.space import ComputationSpace, DegenerateSpace
 
 if TYPE_CHECKING:  # pragma: no cover - hints only
+    from repro.gemm.plan import CakePlan, GotoPlan
     from repro.gemm.sharded import ShardReport
     from repro.gemm.verify import VerifyReport
 
@@ -180,6 +182,37 @@ class GemmRun:
             "arithmetic_intensity": self.arithmetic_intensity,
             "packing_seconds": self.packing_seconds,
         }
+
+
+def accounting_run(
+    engine: str,
+    plan: "CakePlan | GotoPlan",
+    counters: TrafficCounters,
+    time: BlockTime,
+    bound_blocks: dict[str, int],
+) -> GemmRun:
+    """The analytic-only run (``c=None``) of a priced plan.
+
+    ``counters``, ``time`` and ``bound_blocks`` are a schedule walk's
+    tallies (scalar or batched); this adds what every walk shares: the
+    packing traffic and time, the MAC count and the plan summary.
+    """
+    space = plan.space
+    counters.ext_pack = 2 * (space.m * space.k + space.k * space.n)
+    counters.macs = space.macs
+    return GemmRun(
+        engine=engine,
+        machine=plan.machine,
+        space=space,
+        cores=plan.cores,
+        counters=counters,
+        time=time,
+        packing_seconds=packing_cost(
+            plan.machine, space.m * space.k, space.k * space.n
+        ).seconds,
+        bound_blocks=bound_blocks,
+        plan_summary=plan.summary(),
+    )
 
 
 def degenerate_run(

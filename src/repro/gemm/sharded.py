@@ -34,10 +34,11 @@ Bit-identity
 The sharded product is **bit-identical** to the serial walk for any
 (processes x threads x backend) combination, because sharding never
 splits the K dimension: every C element's full ``+=`` accumulation
-sequence lives inside exactly one shard, the shard walks the *global*
-K-first schedule filtered to its blocks (same ki order, same strip
-shapes, same backend calls), and floating-point addition order is
-therefore unchanged. The conformance suite asserts this per backend.
+sequence lives inside exactly one shard, and the shard builds its strip
+groups with the engine plan's own builder over the *global* schedule,
+filtered to its blocks (same ki order, same group indices, same strip
+shapes, same backend calls), so floating-point addition order is
+unchanged. The conformance suite asserts this per backend.
 
 Shard-grid selection
 --------------------
@@ -92,42 +93,31 @@ from concurrent.futures import as_completed
 from dataclasses import dataclass, field
 from multiprocessing import shared_memory
 from multiprocessing import util as mp_util
-from typing import Callable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from repro.errors import CakeError, ConfigurationError, DeadlineExceededError
-from repro.core.cb_block import CBBlock
 from repro.gemm.backends.registry import (
     backend_spec,
     registered_backends,
     registry_generation,
 )
-from repro.gemm.microkernel import MicroKernel
-from repro.gemm.parallel import (
-    PhaseTimers,
-    StripGroup,
-    StripTask,
-    core_strips,
-    run_strip_groups,
-)
-from repro.gemm.verify import GroupVerifier, VerifyConfig, VerifyReport
+from repro.gemm.parallel import PhaseTimers
+from repro.gemm.verify import VerifyConfig, VerifyReport, run_verified
 from repro.packing.pack import (
     GridParts,
     PackedA,
     PackedB,
+    PackedOperands,
     grid_views,
 )
-from repro.packing.pool import BufferPool, SegmentSpec, SharedBufferPool
-from repro.runtime.faults import NumericFaultInjector, mark_worker_process
-from repro.schedule.kfirst import kfirst_schedule
-from repro.schedule.space import BlockGrid, ComputationSpace
-from repro.util import (
-    require_nonnegative,
-    require_positive,
-    split_even,
-    split_length,
-)
+from repro.packing.pool import SegmentSpec, SharedBufferPool
+from repro.runtime.faults import mark_worker_process
+from repro.util import require_nonnegative, require_positive, split_even
+
+if TYPE_CHECKING:  # pragma: no cover - hints only
+    from repro.gemm.plan import CakePlan, GotoPlan
 
 #: Documented slack on the memory-independent communication lower bound:
 #: the shard grid meets the bound up to (a) the AM-GM gap of the best
@@ -492,10 +482,12 @@ class PackedHandle(NamedTuple):
     ``segments`` are the (up to four) :class:`GridParts` buffers in
     ``(main, right, bottom, corner)`` order; together with the grid
     extents a worker rebuilds the parent's exact packed block views.
-    ``row_chunk``/``col_chunk`` are the pack's tiling arguments
-    (``mc``/``kc`` for A, ``kc``/``n_block`` for B).
+    ``kind`` is the packed record's class and ``row_chunk``/``col_chunk``
+    the pack's tiling arguments (``mc``/``kc`` for A, ``kc``/``n_block``
+    for B).
     """
 
+    kind: "type[PackedA] | type[PackedB]"
     row_chunk: int
     col_chunk: int
     segments: tuple[SegmentSpec | None, ...]
@@ -504,7 +496,7 @@ class PackedHandle(NamedTuple):
 
 
 def _pack_handle(
-    packed: "PackedA | PackedB", pool: SharedBufferPool, kind: str
+    packed: "PackedA | PackedB", pool: SharedBufferPool
 ) -> PackedHandle:
     parts = packed.parts
     if parts is None:  # pragma: no cover - engines force vectorized packs
@@ -516,22 +508,8 @@ def _pack_handle(
         None if part is None else pool.segment_of(part)
         for part in (parts.main, parts.right, parts.bottom, parts.corner)
     )
-    if kind == "a":
-        assert isinstance(packed, PackedA)
-        return PackedHandle(
-            row_chunk=packed.mc,
-            col_chunk=packed.kc,
-            segments=segments,
-            r_full=parts.r_full,
-            c_full=parts.c_full,
-        )
-    assert isinstance(packed, PackedB)
     return PackedHandle(
-        row_chunk=packed.kc,
-        col_chunk=packed.n_block,
-        segments=segments,
-        r_full=parts.r_full,
-        c_full=parts.c_full,
+        type(packed), *packed.chunks, segments, parts.r_full, parts.c_full
     )
 
 
@@ -595,10 +573,11 @@ def _attach_segment(name: str) -> shared_memory.SharedMemory:
 
 @dataclass(frozen=True)
 class _ShardTask:
-    """Everything one worker needs, in picklable primitives + handles."""
+    """Everything one worker needs: the engine's plan, the shard's span,
+    segment handles and execution settings, all picklable."""
 
-    engine: str
-    dims: dict
+    plan: "CakePlan | GotoPlan"
+    schedule: str | None
     span: ShardSpan
     a_handle: PackedHandle
     b_handle: PackedHandle
@@ -612,211 +591,13 @@ class _ShardTask:
 # -- worker side ---------------------------------------------------------------
 
 
-def _operand_sums(
-    cache: dict, key, block: np.ndarray, axis: int
-) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], int]:
-    """A block's ABFT checksum + magnitude pair, cached per operand.
-
-    Shard workers compute checksum material from the attached packed
-    blocks themselves (shipping the parent's checksum buffers would
-    double the descriptor surface for no gain — the identities are
-    self-consistent within the worker). Returns the fresh element count
-    so the shard's ``VerifyReport.checksum_elements`` stays honest.
-    """
-    hit = cache.get(key)
-    if hit is not None:
-        return hit[0], hit[1], 0
-    cs = block.sum(axis=axis)
-    ab = np.abs(block)
-    mag = (ab.sum(axis=0), ab.sum(axis=1))
-    cache[key] = (cs, mag)
-    return cs, mag, cs.size + mag[0].size + mag[1].size
-
-
-def _cake_groups(
-    task: _ShardTask, packed_a: PackedA, packed_b: PackedB, c: np.ndarray
-) -> tuple[list[StripGroup], int]:
-    """This shard's strip groups, in global K-first schedule order.
-
-    The worker rebuilds the *global* block grid and walks the *global*
-    schedule, keeping only blocks inside its span — so group indices
-    (the fault-injection and verification keys) and per-block strip
-    shapes are identical to the serial engine's, which is the whole
-    bit-identity argument.
-    """
-    d = task.dims
-    grid = BlockGrid(
-        ComputationSpace(d["m"], d["n"], d["k"]),
-        CBBlock(m=d["m_block"], n=d["n_block"], k=d["kc"]),
-    )
-    span = task.span
-    verifying = task.verify is not None and task.verify.enabled
-    a_sums: dict[tuple[int, int], tuple] = {}
-    b_sums: dict[tuple[int, int], tuple] = {}
-    checksum_elements = 0
-    groups: list[StripGroup] = []
-    for index, coord in enumerate(kfirst_schedule(grid)):
-        if not (
-            span.mi0 <= coord.mi < span.mi1
-            and span.ni0 <= coord.ni < span.ni1
-        ):
-            continue
-        ext = grid.extent(coord)
-        m0, n0, _k0 = grid.origin(coord)
-        a_block = packed_a.block(coord.mi, coord.ki)
-        b_panel = packed_b.panel(coord.ki, coord.ni)
-        c_view = c[m0 : m0 + ext.m, n0 : n0 + ext.n]
-        tasks: list[StripTask] = []
-        r0 = 0
-        for rows in core_strips(ext.m, d["cores"]):
-            tasks.append(
-                StripTask(
-                    a_block[r0 : r0 + rows], b_panel, c_view[r0 : r0 + rows]
-                )
-            )
-            r0 += rows
-        cs_a = cs_b = mag_a = mag_b = None
-        if verifying:
-            cs_a, mag_a, fresh = _operand_sums(
-                a_sums, (coord.mi, coord.ki), a_block, axis=0
-            )
-            checksum_elements += fresh
-            cs_b, mag_b, fresh = _operand_sums(
-                b_sums, (coord.ki, coord.ni), b_panel, axis=1
-            )
-            checksum_elements += fresh
-        groups.append(
-            StripGroup(
-                tasks=tasks,
-                index=index,
-                coord=(coord.mi, coord.ni, coord.ki),
-                label=f"cake block (mi={coord.mi}, ni={coord.ni}, "
-                f"ki={coord.ki}) [shard ({span.row}, {span.col})]",
-                checksum_a=cs_a,
-                checksum_b=cs_b,
-                panel=c_view,
-                fresh_panel=coord.ki == 0,
-                operand_a=a_block,
-                mag_a=mag_a,
-                mag_b=mag_b,
-            )
-        )
-    return groups, checksum_elements
-
-
-def _goto_groups(
-    task: _ShardTask, packed_a: PackedA, packed_b: PackedB, c: np.ndarray
-) -> tuple[list[StripGroup], int]:
-    """This shard's GOTO slice groups, in the serial nest's (ni, ki) order.
-
-    Group indices are the global ``ni * Kb + ki`` positions of the
-    serial loop nest. Strip indices within a group are shard-local
-    (the shard owns a contiguous run of ``mc`` strips), which only
-    affects fault-injection targeting — never the numerics.
-    """
-    d = task.dims
-    m, n, k = d["m"], d["n"], d["k"]
-    m_strips = split_length(m, min(d["mc"], m))
-    n_sizes = split_length(n, min(d["nc"], n))
-    k_sizes = split_length(k, min(d["kc"], k))
-    m_off = _prefix(m_strips)
-    n_off = _prefix(n_sizes)
-    kb = len(k_sizes)
-    span = task.span
-    verifying = task.verify is not None and task.verify.enabled
-    grouped = backend_spec(task.backend).capabilities.grouped
-    a_full: dict[int, np.ndarray] = {}
-    a_sums: dict[int, tuple] = {}
-    b_sums: dict[tuple[int, int], tuple] = {}
-    checksum_elements = 0
-    groups: list[StripGroup] = []
-    for ni in range(span.ni0, span.ni1):
-        nc_actual = n_sizes[ni]
-        n0 = n_off[ni]
-        for ki in range(kb):
-            b_panel = packed_b.panel(ki, ni)
-            tasks = [
-                StripTask(
-                    packed_a.block(strip, ki),
-                    b_panel,
-                    c[
-                        m_off[strip] : m_off[strip] + m_strips[strip],
-                        n0 : n0 + nc_actual,
-                    ],
-                )
-                for strip in range(span.mi0, span.mi1)
-            ]
-            operand_a = None
-            if verifying or grouped:
-                if ki not in a_full:
-                    parts = [
-                        packed_a.block(s, ki)
-                        for s in range(span.mi0, span.mi1)
-                    ]
-                    a_full[ki] = (
-                        parts[0]
-                        if len(parts) == 1
-                        else np.concatenate(parts, axis=0)
-                    )
-                operand_a = a_full[ki]
-            cs_a = cs_b = mag_a = mag_b = None
-            if verifying:
-                cs_a, mag_a, fresh = _operand_sums(
-                    a_sums, ki, operand_a, axis=0
-                )
-                checksum_elements += fresh
-                cs_b, mag_b, fresh = _operand_sums(
-                    b_sums, (ki, ni), b_panel, axis=1
-                )
-                checksum_elements += fresh
-            groups.append(
-                StripGroup(
-                    tasks=tasks,
-                    index=ni * kb + ki,
-                    coord=(ni, ki),
-                    label=f"goto slice (ni={ni}, ki={ki}) "
-                    f"[shard ({span.row}, {span.col})]",
-                    checksum_a=cs_a,
-                    checksum_b=cs_b,
-                    panel=c[
-                        span.m0 : span.m0 + span.m_extent, n0 : n0 + nc_actual
-                    ],
-                    fresh_panel=ki == 0,
-                    operand_a=operand_a,
-                    mag_a=mag_a,
-                    mag_b=mag_b,
-                )
-            )
-    return groups, checksum_elements
-
-
-def _prefix(sizes: Sequence[int]) -> list[int]:
-    out = [0]
-    for size in sizes[:-1]:
-        out.append(out[-1] + size)
-    return out
-
-
 def _attach_packed(
-    handle: PackedHandle,
-    attach: Callable[[SegmentSpec], np.ndarray],
-    kind: str,
+    handle: PackedHandle, attach: Callable[[SegmentSpec], np.ndarray]
 ) -> "PackedA | PackedB":
     buffers = [None if s is None else attach(s) for s in handle.segments]
-    parts = GridParts(
-        buffers[0], buffers[1], buffers[2], buffers[3],
-        handle.r_full, handle.c_full,
-    )
-    grid = grid_views(parts)
-    if kind == "a":
-        return PackedA(
-            blocks=grid, mc=handle.row_chunk, kc=handle.col_chunk, parts=parts
-        )
-    return PackedB(
-        panels=grid,
-        kc=handle.row_chunk,
-        n_block=handle.col_chunk,
-        parts=parts,
+    parts = GridParts(*buffers, handle.r_full, handle.c_full)
+    return handle.kind(
+        grid_views(parts), handle.row_chunk, handle.col_chunk, parts=parts
     )
 
 
@@ -825,40 +606,37 @@ def _run_attached(
 ) -> dict:
     """The shard body: rebuild views, build groups, run the executor.
 
-    Every array built here (packed views, C views, verifier state) is
-    local to this frame, so when it returns only the segment handles
-    remain and :func:`_execute_shard` can close the mappings cleanly.
+    The plan's strip-group builder walks the global schedule keeping
+    this shard's blocks, with checksum material summed from the
+    attached blocks themselves (shipping the parent's checksum buffers
+    would double the descriptor surface for no gain). Every array built
+    here (packed views, C views, verifier state) is local to this
+    frame, so when it returns only the segment handles remain and
+    :func:`_execute_shard` can close the mappings cleanly.
     """
-    d = task.dims
-    packed_a = _attach_packed(task.a_handle, attach, kind="a")
-    packed_b = _attach_packed(task.b_handle, attach, kind="b")
-    c = attach(task.c_segment)
-    if task.engine == "cake":
-        groups, checksum_elements = _cake_groups(task, packed_a, packed_b, c)
-    else:
-        groups, checksum_elements = _goto_groups(task, packed_a, packed_b, c)
-    timers = PhaseTimers()
-    verifier = faults = None
-    report = None
-    if task.verify is not None:
-        if task.verify.inject is not None:
-            faults = NumericFaultInjector(task.verify.inject)
-        if task.verify.enabled:
-            report = VerifyReport(checksum_elements=checksum_elements)
-            verifier = GroupVerifier(task.verify, report, timers)
-    kernel = MicroKernel(mr=d["mr"], nr=d["nr"], kc=d["kc"])
-    backend = backend_spec(task.backend).create(
-        kernel=kernel, exact_tiles=task.exact_tiles
+    spec = backend_spec(task.backend)
+    verifying = task.verify is not None and task.verify.enabled
+    ops = PackedOperands(
+        _attach_packed(task.a_handle, attach),
+        _attach_packed(task.b_handle, attach),
+        checksums="blocks" if verifying else None,
+        stack=spec.capabilities.grouped,
     )
-    run_strip_groups(
+    c = attach(task.c_segment)
+    groups = task.plan.strip_groups(
+        ops, c, span=task.span, schedule=task.schedule
+    )
+    timers = PhaseTimers()
+    kernel = task.plan.kernel
+    report = run_verified(
         groups,
         kernel,
+        verify=task.verify,
+        checksum_elements=ops.checksum_elements,
+        backend=spec.create(kernel=kernel, exact_tiles=task.exact_tiles),
         workers=task.workers,
         exact_tiles=task.exact_tiles,
         timers=timers,
-        verifier=verifier,
-        faults=faults,
-        backend=backend,
     )
     return {
         "shard": task.span.index,
@@ -1022,12 +800,11 @@ def _zero_panel(c: np.ndarray, span: ShardSpan) -> None:
 
 
 def multiply_sharded(
+    plan: "CakePlan | GotoPlan",
+    a: np.ndarray,
+    b: np.ndarray,
     *,
-    engine: str,
-    dims: dict,
-    row_extents: Sequence[int],
-    col_extents: Sequence[int],
-    pack: Callable[[BufferPool], "tuple[PackedA, PackedB]"],
+    schedule: str | None,
     dtype: np.dtype,
     config: ShardConfig,
     workers: int,
@@ -1035,12 +812,13 @@ def multiply_sharded(
     verify: VerifyConfig | None,
     exact_tiles: bool,
     timers: PhaseTimers,
-    element_bytes: int,
 ) -> tuple[np.ndarray, ShardReport, VerifyReport | None]:
     """An engine's whole sharded multiply: lease, plan, run, copy out.
 
-    ``pack(pool)`` packs A and B into the arena (timed as the pack
-    phase); C is leased there too and zero-filled. The product is
+    ``plan`` packs A and B into the arena (timed as the pack phase) and
+    names the block rows and columns the shard grid splits; C is leased
+    there too and zero-filled. Each shard task carries the plan and
+    builds its own strip groups under ``schedule``. The product is
     copied off the arena before the buffers go back for the next run;
     if anything raises they are unlinked instead, since a shard may
     still be writing into them. Worker phase timers are summed into
@@ -1055,22 +833,23 @@ def multiply_sharded(
         )
     _ensure_teardown()
     arena = _ARENA
-    plan = plan_shards(config.processes, row_extents, col_extents, dims["k"])
+    space = plan.space
+    shard_plan = plan_shards(config.processes, *plan.shard_extents(), space.k)
     pack_start = time.perf_counter()
-    packed_a, packed_b = pack(arena)
+    packed_a, packed_b = plan.pack(a, b, pool=arena)
     timers.pack_seconds = time.perf_counter() - pack_start
-    c = arena.lease((dims["m"], dims["n"]), dtype)
+    c = arena.lease((space.m, space.n), dtype)
     leased = [*packed_a.buffers, *packed_b.buffers, c]
     start_method = config.start_method or _default_start_method()
     try:
         c[...] = 0
-        handle_a = _pack_handle(packed_a, arena, kind="a")
-        handle_b = _pack_handle(packed_b, arena, kind="b")
+        handle_a = _pack_handle(packed_a, arena)
+        handle_b = _pack_handle(packed_b, arena)
         c_segment = arena.segment_of(c)
         tasks = {
             span.index: _ShardTask(
-                engine=engine,
-                dims=dims,
+                plan=plan,
+                schedule=schedule,
                 span=span,
                 a_handle=handle_a,
                 b_handle=handle_b,
@@ -1080,11 +859,11 @@ def multiply_sharded(
                 verify=verify,
                 exact_tiles=exact_tiles,
             )
-            for span in plan.spans
+            for span in shard_plan.spans
         }
         barrier_start = time.perf_counter()
         results, rebuilds, inline = _run_tasks(
-            tasks, c, config, start_method, plan.processes
+            tasks, c, config, start_method, shard_plan.processes
         )
         timers.reduce_seconds += time.perf_counter() - barrier_start
         out = c.copy()
@@ -1112,9 +891,10 @@ def multiply_sharded(
             merged.retry_recoveries += v["retry_recoveries"]
             merged.oracle_recoveries += v["oracle_recoveries"]
             merged.checksum_elements += v["checksum_elements"]
+    element_bytes = plan.machine.element_bytes
     report = ShardReport(
-        rows=plan.rows,
-        cols=plan.cols,
+        rows=shard_plan.rows,
+        cols=shard_plan.cols,
         workers=workers,
         start_method=start_method,
         shard_phase_seconds=[
@@ -1128,8 +908,10 @@ def multiply_sharded(
             }
             for res in ordered
         ],
-        ipc_bytes=plan.ipc_elements * element_bytes,
-        ipc_lower_bound_bytes=plan.ipc_lower_bound_elements * element_bytes,
+        ipc_bytes=shard_plan.ipc_elements * element_bytes,
+        ipc_lower_bound_bytes=(
+            shard_plan.ipc_lower_bound_elements * element_bytes
+        ),
         pool_rebuilds=rebuilds,
         inline_shards=inline,
     )

@@ -92,12 +92,14 @@ import numpy as np
 from repro.errors import CakeError
 from repro.gemm.backends.base import Backend, execute_group
 from repro.gemm.backends.numpy_backend import NumpyBackend
+from repro.gemm.parallel import run_strip_groups
+from repro.runtime.faults import NumericFaultInjector
 from repro.util import require_nonnegative
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints only
     from repro.gemm.microkernel import MicroKernel
     from repro.gemm.parallel import PhaseTimers, StripGroup
-    from repro.runtime.faults import NumericFaultInjector, NumericFaultPlan
+    from repro.runtime.faults import NumericFaultPlan
 
 #: Multiplier on ``eps * (m + k + 2)`` for the default relative band —
 #: ~100x above the rounding noise observed for random operands, while
@@ -657,3 +659,41 @@ class GroupVerifier:
         else:
             j = int(np.argmax(diff - tol))
         return j, float(diff[j]), float(tol[j])
+
+
+def run_verified(
+    groups: "Sequence[StripGroup]",
+    kernel: "MicroKernel",
+    *,
+    verify: VerifyConfig | None,
+    checksum_elements: int,
+    backend: Backend,
+    workers: int,
+    exact_tiles: bool,
+    timers: "PhaseTimers",
+) -> VerifyReport | None:
+    """Run strip groups under ``verify``, returning its report.
+
+    Sets up fault injection (``verify.inject``) and, for an enabled
+    config, a :class:`GroupVerifier` whose report carries
+    ``checksum_elements``; ``None`` when the run is unverified. The
+    in-process engine and every shard worker execute through here.
+    """
+    verifier = faults = report = None
+    if verify is not None:
+        if verify.inject is not None:
+            faults = NumericFaultInjector(verify.inject)
+        if verify.enabled:
+            report = VerifyReport(checksum_elements=checksum_elements)
+            verifier = GroupVerifier(verify, report, timers)
+    run_strip_groups(
+        groups,
+        kernel,
+        workers=workers,
+        exact_tiles=exact_tiles,
+        timers=timers,
+        verifier=verifier,
+        faults=faults,
+        backend=backend,
+    )
+    return report

@@ -18,12 +18,12 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from repro.errors import ConfigurationError
-from repro.gemm.cake import _core_strips
+from repro.gemm.parallel import core_strips
 from repro.gemm.plan import CakePlan, GotoPlan
 from repro.machines.spec import MachineSpec
 from repro.memsim.lru import SetAssociativeCache
 from repro.schedule.space import ComputationSpace
-from repro.util import ceil_div, require_positive, split_length
+from repro.util import ceil_div, prefix_offsets, require_positive
 
 #: One byte-range request: ``(core, base_address, nbytes, write)``.
 #: The schedule walkers below emit streams of these; both the scalar
@@ -183,7 +183,7 @@ def cake_line_ops(
 
     for coord in plan.schedule():
         ext = grid.extent(coord)
-        strips = _core_strips(ext.m, plan.cores)
+        strips = core_strips(ext.m, plan.cores)
         n_tiles = ceil_div(ext.n, nr)
         # A sub-blocks: one contiguous packed range per core.
         a_block_base = a_base + _packed_offset_a(grid, coord, eb)
@@ -224,12 +224,10 @@ def goto_line_ops(
     b_base = mem.alloc("B", k * n * eb)
     c_base = mem.alloc("C", m * n * eb)
 
-    m_strips = split_length(space.m, min(plan.mc, space.m))
-    n_sizes = split_length(space.n, min(plan.nc, space.n))
-    k_sizes = split_length(space.k, min(plan.kc, space.k))
-    m_offsets = _prefix(m_strips)
-    n_offsets = _prefix(n_sizes)
-    k_offsets = _prefix(k_sizes)
+    m_strips, n_sizes, k_sizes = plan.tiles()
+    m_offsets = prefix_offsets(m_strips)
+    n_offsets = prefix_offsets(n_sizes)
+    k_offsets = prefix_offsets(k_sizes)
 
     for ni, nc_actual in enumerate(n_sizes):
         for ki, kc_actual in enumerate(k_sizes):
@@ -343,13 +341,6 @@ def line_profile_goto(
         dram_bytes=dram_bytes,
         dram_fraction=dram_fraction,
     )
-
-
-def _prefix(sizes: list[int]) -> list[int]:
-    out = [0]
-    for s in sizes[:-1]:
-        out.append(out[-1] + s)
-    return out
 
 
 def _packed_offset_a(grid, coord, eb: int) -> int:

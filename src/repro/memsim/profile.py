@@ -20,12 +20,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.gemm.cake import _core_strips
+from repro.gemm.parallel import core_strips
 from repro.gemm.plan import CakePlan, GotoPlan
 from repro.machines.spec import MachineSpec
 from repro.memsim.hierarchy import LevelStats, MemoryHierarchy
 from repro.schedule.space import ComputationSpace
-from repro.util import ceil_div, split_length
+from repro.util import ceil_div
 
 
 @dataclass(frozen=True, slots=True)
@@ -90,7 +90,7 @@ def profile_cake(
 
     for coord in plan.schedule():
         ext = grid.extent(coord)
-        strips = _core_strips(ext.m, plan.cores)
+        strips = core_strips(ext.m, plan.cores)
         n_tiles = ceil_div(ext.n, nr)
         for core, rows in enumerate(strips):
             hier.access(
@@ -134,9 +134,7 @@ def profile_goto(
     eb = machine.element_bytes
     nr = machine.nr
 
-    m_strips = split_length(space.m, min(plan.mc, space.m))
-    n_sizes = split_length(space.n, min(plan.nc, space.n))
-    k_sizes = split_length(space.k, min(plan.kc, space.k))
+    m_strips, n_sizes, k_sizes = plan.tiles()
 
     for ni, nc_actual in enumerate(n_sizes):
         for ki, kc_actual in enumerate(k_sizes):

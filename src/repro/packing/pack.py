@@ -62,8 +62,58 @@ from repro.packing.pool import BufferPool
 from repro.util import require_positive, split_length
 
 
+class _PackedGrid:
+    """What a packed A and a packed B share: a 2-D grid of contiguous
+    blocks (``_grid``), optional pack-time checksum material and the
+    backing buffers it was leased into."""
+
+    checksums: "list[list[np.ndarray]] | None"
+    magnitudes: "list[list[tuple[np.ndarray, np.ndarray]]] | None"
+    buffers: tuple[np.ndarray, ...]
+
+    @property
+    def _grid(self) -> list[list[np.ndarray]]:
+        raise NotImplementedError
+
+    @property
+    def elements(self) -> int:
+        """Total packed elements (equals the source matrix's size)."""
+        return sum(block.size for row in self._grid for block in row)
+
+    @property
+    def checksum_elements(self) -> int:
+        """Total checksum + magnitude elements carried (0 unless
+        checksummed)."""
+        if self.checksums is None:
+            return 0
+        total = sum(v.size for row in self.checksums for v in row)
+        if self.magnitudes is not None:
+            total += sum(
+                a.size + b.size for row in self.magnitudes for a, b in row
+            )
+        return total
+
+    def checksum(self, i: int, j: int) -> np.ndarray:
+        """Block ``(i, j)``'s pack-time checksum: column sums for A,
+        row sums for B."""
+        if self.checksums is None:
+            raise ValueError("packed without checksums=True")
+        return self.checksums[i][j]
+
+    def magnitude(self, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+        """Block ``(i, j)``'s ``(|.|.sum(axis=0), |.|.sum(axis=1))`` pair."""
+        if self.magnitudes is None:
+            raise ValueError("packed without checksums=True")
+        return self.magnitudes[i][j]
+
+    def release_to(self, pool: BufferPool | None) -> None:
+        """Return backing buffers to ``pool`` (no-op without one)."""
+        if pool is not None and self.buffers:
+            pool.release(*self.buffers)
+
+
 @dataclass(frozen=True)
-class PackedA:
+class PackedA(_PackedGrid):
     """A packed into ``mc x kc`` sub-blocks.
 
     ``blocks[si][ki]`` is the contiguous copy of A rows
@@ -94,6 +144,15 @@ class PackedA:
     parts: "GridParts | None" = field(default=None, repr=False)
 
     @property
+    def _grid(self) -> list[list[np.ndarray]]:
+        return self.blocks
+
+    @property
+    def chunks(self) -> tuple[int, int]:
+        """The tiling arguments ``(mc, kc)`` the grid was packed with."""
+        return self.mc, self.kc
+
+    @property
     def strips(self) -> int:
         """Number of mc-row strips along M."""
         return len(self.blocks)
@@ -103,69 +162,13 @@ class PackedA:
         """Number of kc-column panels along K."""
         return len(self.blocks[0])
 
-    @property
-    def elements(self) -> int:
-        """Total packed elements (equals the source matrix's size)."""
-        return sum(b.size for row in self.blocks for b in row)
-
-    @property
-    def checksum_elements(self) -> int:
-        """Total checksum + magnitude elements carried (0 unless
-        checksummed)."""
-        if self.checksums is None:
-            return 0
-        total = sum(v.size for row in self.checksums for v in row)
-        if self.magnitudes is not None:
-            total += sum(
-                a.size + b.size for row in self.magnitudes for a, b in row
-            )
-        return total
-
     def block(self, strip: int, k_panel: int) -> np.ndarray:
         """The contiguous ``mc x kc`` sub-block at (strip, k_panel)."""
         return self.blocks[strip][k_panel]
 
-    def column(
-        self, k_panel: int, *, pool: BufferPool | None = None
-    ) -> np.ndarray:
-        """One contiguous operand spanning *every* strip at ``k_panel``.
-
-        The group-contiguous view whole-group backends multiply: all
-        ``mc``-row strips of the matrix at this K panel, stacked in
-        strip order as a single C-contiguous ``(M, kc)`` array. With a
-        single strip the packed block itself is returned (zero-copy —
-        the caller must not release it to a pool); with several, a
-        fresh (or pool-leased) buffer is filled with one concatenate.
-        """
-        parts = [row[k_panel] for row in self.blocks]
-        if len(parts) == 1:
-            return parts[0]
-        rows = sum(part.shape[0] for part in parts)
-        lease = pool.lease if pool is not None else np.empty
-        buf = lease((rows, parts[0].shape[1]), parts[0].dtype)
-        np.concatenate(parts, axis=0, out=buf)
-        return buf
-
-    def checksum(self, strip: int, k_panel: int) -> np.ndarray:
-        """The block's pack-time column checksum (length = block cols)."""
-        if self.checksums is None:
-            raise ValueError("packed without checksums=True")
-        return self.checksums[strip][k_panel]
-
-    def magnitude(self, strip: int, k_panel: int) -> tuple[np.ndarray, np.ndarray]:
-        """The block's ``(|.|.sum(axis=0), |.|.sum(axis=1))`` pair."""
-        if self.magnitudes is None:
-            raise ValueError("packed without checksums=True")
-        return self.magnitudes[strip][k_panel]
-
-    def release_to(self, pool: BufferPool | None) -> None:
-        """Return backing buffers to ``pool`` (no-op without one)."""
-        if pool is not None and self.buffers:
-            pool.release(*self.buffers)
-
 
 @dataclass(frozen=True)
-class PackedB:
+class PackedB(_PackedGrid):
     """B packed into ``kc x n_block`` panels.
 
     ``panels[ki][ni]`` is the contiguous copy of B rows
@@ -189,6 +192,15 @@ class PackedB:
     parts: "GridParts | None" = field(default=None, repr=False)
 
     @property
+    def _grid(self) -> list[list[np.ndarray]]:
+        return self.panels
+
+    @property
+    def chunks(self) -> tuple[int, int]:
+        """The tiling arguments ``(kc, n_block)`` the grid was packed with."""
+        return self.kc, self.n_block
+
+    @property
     def k_panels(self) -> int:
         """Number of kc-row panels along K."""
         return len(self.panels)
@@ -198,44 +210,116 @@ class PackedB:
         """Number of n_block-column panels along N."""
         return len(self.panels[0])
 
-    @property
-    def elements(self) -> int:
-        """Total packed elements (equals the source matrix's size)."""
-        return sum(p.size for row in self.panels for p in row)
-
-    @property
-    def checksum_elements(self) -> int:
-        """Total checksum + magnitude elements carried (0 unless
-        checksummed)."""
-        if self.checksums is None:
-            return 0
-        total = sum(v.size for row in self.checksums for v in row)
-        if self.magnitudes is not None:
-            total += sum(
-                a.size + b.size for row in self.magnitudes for a, b in row
-            )
-        return total
-
     def panel(self, k_panel: int, n_panel: int) -> np.ndarray:
         """The contiguous ``kc x n_block`` panel at (k_panel, n_panel)."""
         return self.panels[k_panel][n_panel]
 
-    def checksum(self, k_panel: int, n_panel: int) -> np.ndarray:
-        """The panel's pack-time row checksum (length = panel rows)."""
+
+class PackedOperands:
+    """Packed A and B as a strip-group builder reads them.
+
+    Besides the block views, a group may need its A strips stacked into
+    one operand (whole-group backends and the verifier read it) and its
+    ABFT checksum material. ``checksums`` says where that comes from:
+    ``"pack"`` reads the pack-time vectors (in-process runs),
+    ``"blocks"`` sums each operand on first use (shard workers, whose
+    attached packs carry none), ``None`` runs unverified. ``stack`` asks
+    for stacked A operands even unverified; stacks of several strips are
+    leased from ``pool`` and handed back, with the packs, by
+    :meth:`release`.
+    """
+
+    def __init__(
+        self,
+        a: PackedA,
+        b: PackedB,
+        *,
+        checksums: str | None = None,
+        stack: bool = False,
+        pool: BufferPool | None = None,
+    ) -> None:
+        self.a, self.b, self.pool = a, b, pool
+        self.checksums = checksums
+        self.stack = stack or checksums is not None
+        #: Checksum + magnitude elements carried, for the VerifyReport.
+        self.checksum_elements = (
+            a.checksum_elements + b.checksum_elements
+            if checksums == "pack"
+            else 0
+        )
+        self._memo: dict[tuple, object] = {}
+        self._stacks: list[np.ndarray] = []
+
+    def stack_a(self, strips: range, k_panel: int) -> np.ndarray:
+        """The A ``strips`` at ``k_panel`` as one C-contiguous operand
+        (a single strip is its packed block, zero-copy)."""
+        key = ("stack", strips, k_panel)
+        if key not in self._memo:
+            parts = [self.a.block(s, k_panel) for s in strips]
+            stacked = parts[0]
+            if len(parts) > 1:
+                lease = np.empty if self.pool is None else self.pool.lease
+                shape = (sum(p.shape[0] for p in parts), parts[0].shape[1])
+                stacked = np.concatenate(
+                    parts, axis=0, out=lease(shape, parts[0].dtype)
+                )
+                self._stacks.append(stacked)
+            self._memo[key] = stacked
+        return self._memo[key]
+
+    def sums_a(self, strips: range, k_panel: int) -> tuple:
+        """``(checksum, magnitudes)`` of the stacked A strips, or
+        ``(None, None)`` unverified."""
         if self.checksums is None:
-            raise ValueError("packed without checksums=True")
-        return self.checksums[k_panel][n_panel]
+            return None, None
+        key = ("a", strips, k_panel)
+        if key not in self._memo:
+            self._memo[key] = (
+                self._sum(self.stack_a(strips, k_panel), axis=0)
+                if self.checksums == "blocks"
+                else _strip_sums(self.a, strips, k_panel)
+            )
+        return self._memo[key]
 
-    def magnitude(self, k_panel: int, n_panel: int) -> tuple[np.ndarray, np.ndarray]:
-        """The panel's ``(|.|.sum(axis=0), |.|.sum(axis=1))`` pair."""
-        if self.magnitudes is None:
-            raise ValueError("packed without checksums=True")
-        return self.magnitudes[k_panel][n_panel]
+    def sums_b(self, k_panel: int, n_panel: int) -> tuple:
+        """``(checksum, magnitudes)`` of one B panel, or ``(None, None)``."""
+        if self.checksums != "blocks":
+            if self.checksums is None:
+                return None, None
+            return self.b.checksum(k_panel, n_panel), self.b.magnitude(
+                k_panel, n_panel
+            )
+        key = ("b", k_panel, n_panel)
+        if key not in self._memo:
+            self._memo[key] = self._sum(self.b.panel(k_panel, n_panel), axis=1)
+        return self._memo[key]
 
-    def release_to(self, pool: BufferPool | None) -> None:
-        """Return backing buffers to ``pool`` (no-op without one)."""
-        if pool is not None and self.buffers:
-            pool.release(*self.buffers)
+    def _sum(self, block: np.ndarray, axis: int) -> tuple:
+        checksum = block.sum(axis=axis)
+        magnitude = np.abs(block)
+        mags = (magnitude.sum(axis=0), magnitude.sum(axis=1))
+        self.checksum_elements += checksum.size + mags[0].size + mags[1].size
+        return checksum, mags
+
+    def release(self) -> None:
+        """Return the pack buffers and leased stacks to the pool."""
+        if self.pool is not None:
+            self.a.release_to(self.pool)
+            self.b.release_to(self.pool)
+            self.pool.release(*self._stacks)
+
+
+def _strip_sums(packed: PackedA, strips: range, k_panel: int) -> tuple:
+    """Several A strips' pack-time checksum material, combined."""
+    sums = [packed.checksum(s, k_panel) for s in strips]
+    mags = [packed.magnitude(s, k_panel) for s in strips]
+    if len(strips) == 1:
+        return sums[0], mags[0]
+    checksum, col_mag = sums[0].copy(), mags[0][0].copy()
+    for strip_sum, (strip_col, _) in zip(sums[1:], mags[1:]):
+        checksum += strip_sum
+        col_mag += strip_col
+    return checksum, (col_mag, np.concatenate([row for _, row in mags]))
 
 
 def pack_a(
@@ -257,21 +341,8 @@ def pack_a(
     _check_matrix("a", a)
     require_positive("mc", mc)
     require_positive("kc", kc)
-    if exact:
-        blocks = _pack_grid_loop(a, mc, kc)
-        cs = mags = None
-        if checksums:
-            cs, mags, _, _ = _checksum_grids(blocks, 0, None)
-        return PackedA(blocks=blocks, mc=mc, kc=kc, checksums=cs, magnitudes=mags)
-    blocks, buffers, parts = _pack_grid(a, mc, kc, pool)
-    cs = mags = None
-    if checksums:
-        cs, mags, held = _checksum_grids_fast(blocks, parts, 0, pool)
-        buffers = buffers + held
-    return PackedA(
-        blocks=blocks, mc=mc, kc=kc, buffers=buffers,
-        checksums=cs, magnitudes=mags, parts=parts,
-    )
+    blocks, fields = _pack(a, mc, kc, 0, pool, exact, checksums)
+    return PackedA(blocks=blocks, mc=mc, kc=kc, **fields)
 
 
 def pack_b(
@@ -291,23 +362,37 @@ def pack_b(
     _check_matrix("b", b)
     require_positive("kc", kc)
     require_positive("n_block", n_block)
-    if exact:
-        panels = _pack_grid_loop(b, kc, n_block)
-        cs = mags = None
-        if checksums:
-            cs, mags, _, _ = _checksum_grids(panels, 1, None)
-        return PackedB(
-            panels=panels, kc=kc, n_block=n_block, checksums=cs, magnitudes=mags
-        )
-    panels, buffers, parts = _pack_grid(b, kc, n_block, pool)
+    panels, fields = _pack(b, kc, n_block, 1, pool, exact, checksums)
+    return PackedB(panels=panels, kc=kc, n_block=n_block, **fields)
+
+
+def _pack(
+    x: np.ndarray,
+    row_chunk: int,
+    col_chunk: int,
+    axis: int,
+    pool: BufferPool | None,
+    exact: bool,
+    checksums: bool,
+) -> tuple[list[list[np.ndarray]], dict]:
+    """The block grid plus the packed record's other fields; checksums
+    sum along ``axis``."""
     cs = mags = None
+    if exact:
+        grid = _pack_grid_loop(x, row_chunk, col_chunk)
+        if checksums:
+            cs, mags, _, _ = _checksum_grids(grid, axis, None)
+        return grid, {"checksums": cs, "magnitudes": mags}
+    grid, buffers, parts = _pack_grid(x, row_chunk, col_chunk, pool)
     if checksums:
-        cs, mags, held = _checksum_grids_fast(panels, parts, 1, pool)
+        cs, mags, held = _checksum_grids_fast(grid, parts, axis, pool)
         buffers = buffers + held
-    return PackedB(
-        panels=panels, kc=kc, n_block=n_block, buffers=buffers,
-        checksums=cs, magnitudes=mags, parts=parts,
-    )
+    return grid, {
+        "buffers": buffers,
+        "checksums": cs,
+        "magnitudes": mags,
+        "parts": parts,
+    }
 
 
 # Engine-specific aliases: CAKE and GOTO pack identically at this

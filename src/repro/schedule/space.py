@@ -16,7 +16,12 @@ from typing import Iterator
 import numpy as np
 
 from repro.core.cb_block import CBBlock
-from repro.util import require_nonnegative, require_positive, split_length
+from repro.util import (
+    prefix_offsets,
+    require_nonnegative,
+    require_positive,
+    split_length,
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -109,9 +114,9 @@ class BlockGrid:
         self._m_sizes = split_length(space.m, min(block.m, space.m))
         self._n_sizes = split_length(space.n, min(block.n, space.n))
         self._k_sizes = split_length(space.k, min(block.k, space.k))
-        self._m_offsets = _prefix_offsets(self._m_sizes)
-        self._n_offsets = _prefix_offsets(self._n_sizes)
-        self._k_offsets = _prefix_offsets(self._k_sizes)
+        self._m_offsets = prefix_offsets(self._m_sizes)
+        self._n_offsets = prefix_offsets(self._n_sizes)
+        self._k_offsets = prefix_offsets(self._k_sizes)
 
     # -- grid shape ---------------------------------------------------------
 
@@ -207,10 +212,3 @@ class BlockGrid:
             raise IndexError(
                 f"{coord} outside grid of {self.mb} x {self.nb} x {self.kb} blocks"
             )
-
-
-def _prefix_offsets(sizes: list[int]) -> list[int]:
-    offsets = [0]
-    for size in sizes[:-1]:
-        offsets.append(offsets[-1] + size)
-    return offsets

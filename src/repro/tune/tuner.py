@@ -47,6 +47,9 @@ from repro.tune.space import (
     plan_shape_candidates,
 )
 
+#: The plan type behind each engine name.
+_PLANS = {"cake": CakePlan, "goto": GotoPlan}
+
 
 @dataclass(frozen=True, slots=True)
 class TuneConfig:
@@ -164,11 +167,9 @@ class PlanTuner:
 
     def _search(self, key: TuneKey) -> TuneResult:
         space = ComputationSpace(key.m, key.n, key.k)
-        base: "CakePlan | GotoPlan"
-        if key.engine == "cake":
-            base = CakePlan.from_problem(self.machine, space, cores=key.cores)
-        else:
-            base = GotoPlan.from_problem(self.machine, space, cores=key.cores)
+        base = _PLANS[key.engine].from_problem(
+            self.machine, space, cores=key.cores
+        )
 
         ranked = self._rank(key, space, plan_shape_candidates(key.engine, base))
         surface = key.m * key.k + key.k * key.n + key.m * key.n
@@ -194,26 +195,13 @@ class PlanTuner:
         in front of the ``top_k`` cut so the validation stage times the
         analytic shape's execution variants too.
         """
-        from repro.analysis.batch import analyze_cake_batch, analyze_goto_batch
-
         bound = ipc_lower_bound_elements(key.m, key.n, key.k, 1)
         reports: list[tuple[float, CandidateReport, PlanOverride]] = []
         for override in shapes:
-            if key.engine == "cake":
-                plan = CakePlan.from_problem(
-                    self.machine, space, cores=key.cores, override=override
-                )
-                run = analyze_cake_batch(
-                    self.machine,
-                    space,
-                    plan=plan,
-                    schedule=override.schedule or "k-first",
-                )
-            else:
-                plan = GotoPlan.from_problem(
-                    self.machine, space, cores=key.cores, override=override
-                )
-                run = analyze_goto_batch(self.machine, space, plan=plan)
+            plan = _PLANS[key.engine].from_problem(
+                self.machine, space, cores=key.cores, override=override
+            )
+            run = plan.accounting(override.schedule)
             reports.append(
                 (
                     run.seconds,

@@ -3,6 +3,7 @@
 from repro.util.rounding import (
     ceil_div,
     floor_to_multiple,
+    prefix_offsets,
     round_to_multiple,
     split_even,
     split_length,
@@ -28,6 +29,7 @@ from repro.util.validation import (
 __all__ = [
     "ceil_div",
     "floor_to_multiple",
+    "prefix_offsets",
     "round_to_multiple",
     "split_even",
     "split_length",

@@ -103,27 +103,65 @@ class TestOverriddenDerivation:
         assert (plan.kc, plan.nc) == (base.kc, base.nc)
 
 
+#: Every process-wide memo, with a call that fills one entry of it.
+MEMOS = {
+    "cake": lambda machine, space: CakePlan.from_problem(machine, space),
+    "goto": lambda machine, space: GotoPlan.from_problem(machine, space),
+    "accounting": lambda machine, space: CakePlan.from_problem(
+        machine, space
+    ).accounting(),
+}
+
+
 class TestBoundedMemo:
     def test_memos_are_bounded_and_observable(self, intel):
         clear_plan_memos()
         info = plan_cache_info()
         assert info["maxsize"] == PLAN_MEMO_MAXSIZE
-        assert info["cake"]["maxsize"] == PLAN_MEMO_MAXSIZE
-        assert info["goto"]["maxsize"] == PLAN_MEMO_MAXSIZE
-        assert info["cake"]["currsize"] == 0
+        for name, fill in MEMOS.items():
+            assert info[name]["maxsize"] == PLAN_MEMO_MAXSIZE
+            assert info[name]["currsize"] == 0
 
-        CakePlan.from_problem(intel, SPACE)
-        CakePlan.from_problem(intel, SPACE)
-        info = plan_cache_info()
-        assert info["cake"]["currsize"] >= 1
-        assert info["cake"]["hits"] >= 1
+            fill(intel, SPACE)
+            fill(intel, SPACE)
+            memo = plan_cache_info()[name]
+            assert memo["currsize"] >= 1
+            assert memo["hits"] >= 1, name
 
     def test_memo_never_exceeds_maxsize(self, intel):
         """Distinct keys beyond the bound evict instead of growing."""
         clear_plan_memos()
         for m in range(64, 64 + 40):
-            CakePlan.from_problem(intel, ComputationSpace(m, 64, 64))
-        assert plan_cache_info()["cake"]["currsize"] <= PLAN_MEMO_MAXSIZE
+            for fill in MEMOS.values():
+                fill(intel, ComputationSpace(m, 64, 64))
+        info = plan_cache_info()
+        for name in MEMOS:
+            assert info[name]["currsize"] <= PLAN_MEMO_MAXSIZE
+
+    @pytest.mark.parametrize("engine_cls", [CakeGemm, GotoGemm])
+    def test_accounting_memo_never_aliases(self, intel, rng, engine_cls):
+        """Runs share memoized accounting, never its mutable parts."""
+        a = rng.standard_normal((96, 170))
+        b = rng.standard_normal((170, 120))
+        sharded = engine_cls(intel, processes=2, tuned=False).multiply(a, b)
+        assert sharded.counters.ipc_bytes > 0
+
+        engine = engine_cls(intel, tuned=False)
+        first = engine.multiply(a, b)
+        assert first.counters.ipc_bytes == 0
+        expected = (
+            dataclasses.replace(first.counters),
+            dict(first.bound_blocks),
+            dict(first.plan_summary),
+        )
+        for run in (first, engine.analyze(96, 120, 170)):
+            run.counters.ext_a_read += 1
+            run.bound_blocks["compute"] += 1
+            run.plan_summary["kc"] = -1
+        for run in (engine.multiply(a, b), engine.analyze(96, 120, 170)):
+            assert run.counters == expected[0]
+            assert run.bound_blocks == expected[1]
+            assert run.plan_summary == expected[2]
 
 
 class TestEngineSeam:

@@ -33,6 +33,7 @@ from repro.errors import ConfigurationError, DeadlineExceededError
 from repro.gemm import CakeGemm, GotoGemm
 from repro.gemm.backends import backend_spec, register_backend
 from repro.gemm.backends import registry as backend_registry
+from repro.gemm.plan import PlanOverride
 from repro.gemm.sharded import (
     IPC_SLACK_FACTOR,
     ShardConfig,
@@ -44,7 +45,7 @@ from repro.gemm.sharded import (
     select_shard_grid,
     set_default_processes,
 )
-from repro.gemm.verify import VerifyConfig
+from repro.gemm.verify import NumericFaultError, VerifyConfig
 from repro.machines import intel_i9_10900k
 from repro.runtime.faults import NumericFaultPlan, NumericFaultRule
 
@@ -443,6 +444,36 @@ class TestShardFaultTolerance:
         assert (
             run.verify.retry_recoveries + run.verify.oracle_recoveries >= 1
         )
+
+    def test_fault_keys_follow_the_schedule_override(self, intel, rng):
+        """Group indices are fault-injection keys: under a schedule
+        override a shard must number its groups in that schedule's
+        order, so the same rule hits the same block either way."""
+        a = rng.standard_normal((700, 900))
+        b = rng.standard_normal((900, 2500))
+        persistent = VerifyConfig(
+            max_retries=0,
+            oracle_fallback=False,
+            inject=NumericFaultPlan(
+                rules=(
+                    NumericFaultRule(
+                        block=5, strip=0, kind="scale", times=99
+                    ),
+                )
+            ),
+        )
+        coords = []
+        for processes in (None, 2):
+            engine = CakeGemm(
+                intel,
+                plan=PlanOverride(schedule="naive"),
+                verify=persistent,
+                processes=processes,
+            )
+            with pytest.raises(NumericFaultError) as exc:
+                engine.multiply(a, b)
+            coords.append(exc.value.coord)
+        assert coords[0] == coords[1]
 
 
 # -- persistent pool and arena -------------------------------------------------
