@@ -10,8 +10,8 @@ Built-ins:
 
 * ``numpy`` — per-strip micro-kernel execution, the bit-exact oracle
   every other backend is conformance-tested against;
-* ``blas-group`` — one ``np.matmul`` per whole strip group, releasing
-  the GIL for large contiguous panel products;
+* ``blas-group`` — one BLAS gemm with ``beta=1`` per whole strip group,
+  accumulating straight into the C panel with the GIL released;
 * ``torch`` — whole-group ``torch.matmul`` (CPU by default), registered
   with an availability probe so hosts without torch skip it cleanly.
 

@@ -82,10 +82,10 @@ class Backend(ABC):
     """One way to execute the schedule's strip multiplications.
 
     Implementations are cheap, per-run objects (engines create one per
-    ``multiply()`` call): they may cache scratch buffers keyed by shape,
-    because groups execute one at a time on the orchestrator thread.
-    Only :meth:`matmul_strip` may be called concurrently (the thread
-    executor fans strips out), so it must not touch shared scratch.
+    ``multiply()`` call). Groups execute one at a time on the
+    orchestrator thread, so :meth:`matmul_group` may keep per-instance
+    state; only :meth:`matmul_strip` may be called concurrently (the
+    thread executor fans strips out), so it must not touch shared state.
     """
 
     #: Registry name; subclasses override.

@@ -1,11 +1,11 @@
-"""The whole-group BLAS backend: one ``np.matmul`` per strip group.
+"""The whole-group BLAS backend: one in-place gemm per strip group.
 
 The per-strip oracle dispatches one small matmul per core slab from
 Python, so on a GIL-bound host the thread executor's speedup saturates
 near 1.0x: the kernels release the GIL, but the per-strip Python call
 overhead and barrier bookkeeping do not shrink with more workers. This
 backend flips the granularity: each strip group (one CAKE CB block, one
-GOTO ``(nc, kc)`` slice) becomes a *single* ``np.matmul`` over the
+GOTO ``(nc, kc)`` slice) becomes a *single* BLAS gemm over the
 group-contiguous A operand and the full C panel — the shape BLAS
 libraries are optimized for. One Python call per group, the GIL released
 for the whole contiguous panel product, and the underlying BLAS free to
@@ -19,12 +19,13 @@ bit-compared — while ``reproducible=True`` holds: the same call on the
 same data returns the same bits, which the ABFT recovery ladder uses to
 heal transient corruption bit-exactly.
 
-The product lands in a shape-keyed scratch buffer and is added into the
-C panel in place (``np.add(c, scratch, out=c)``), so the per-group cost
-is two GIL-released NumPy calls and zero allocations at steady state.
-Groups execute one at a time on the orchestrator thread, so the scratch
-cache needs no locking; the per-strip fallback path (groups without
-group-contiguous views) deliberately avoids the cache.
+Each group's product accumulates straight into the C panel view, the
+way a CB block's partial results stay resident in the paper's schedule:
+one BLAS gemm with ``beta=1`` (:func:`repro.gemm.cblas.accumulate`)
+reads the panel, adds ``a @ b`` and writes it back, with no product
+temporary and no separate add pass over C. Inputs the BLAS call cannot
+take (complex, mixed dtypes, non-row-major views, a NumPy without a
+bundled OpenBLAS) fall back to ``c += a @ b``.
 """
 
 from __future__ import annotations
@@ -32,33 +33,21 @@ from __future__ import annotations
 import numpy as np
 
 from repro.gemm.backends.base import Backend, BackendCapabilities
+from repro.gemm.cblas import accumulate
 
 
 class BlasGroupBackend(Backend):
-    """One whole-panel ``np.matmul`` per strip group."""
+    """One whole-panel in-place BLAS gemm per strip group."""
 
     name = "blas-group"
     capabilities = BackendCapabilities(
         deterministic=False,
         grouped=True,
-        dtypes=None,  # np.matmul covers every float/complex dtype
+        dtypes=None,  # the ``c += a @ b`` fallback covers float/complex
         reproducible=True,
     )
 
-    def __init__(self) -> None:
-        # Shape-keyed product scratch; orchestrator-thread only.
-        self._scratch: dict[tuple, np.ndarray] = {}
-
-    def matmul_group(self, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> None:
-        key = (c.shape, c.dtype.str)
-        buf = self._scratch.get(key)
-        if buf is None:
-            buf = np.empty(c.shape, dtype=c.dtype)
-            self._scratch[key] = buf
-        np.matmul(a, b, out=buf)
-        np.add(c, buf, out=c)
-
     def matmul_strip(self, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> None:
-        # Fallback for groups without group-contiguous views; allocates
-        # its own temporary so concurrent strips never share scratch.
-        c += a @ b
+        # Also the whole-group call (``Backend.matmul_group`` delegates
+        # here). Concurrent strips of one group write disjoint C views.
+        accumulate(a, b, c)

@@ -201,7 +201,7 @@ register_backend(
         name="blas-group",
         capabilities=BlasGroupBackend.capabilities,
         factory=lambda *, kernel, exact_tiles=False: BlasGroupBackend(),
-        description="one np.matmul per strip group (GIL-free panel products)",
+        description="one in-place BLAS gemm (beta=1) per strip group",
     )
 )
 register_backend(

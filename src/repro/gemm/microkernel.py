@@ -11,9 +11,13 @@ register tile of C. Here the same tiling is executed with NumPy. Two modes:
   panel product with one vectorised call — the fast path, per the HPC
   guide's "vectorise the inner loop" idiom.
 
-Both accumulate into the caller's C buffer *in place* (no temporaries),
-matching the in-place partial-result accumulation the paper's schedule
-relies on.
+Both update the caller's C buffer in place, matching the in-place
+partial-result accumulation the paper's schedule relies on, but neither
+is free of temporaries: NumPy's ``c += a @ b`` materializes the product
+and then adds it into C. The tile walk does that per register tile; the
+fast path ``c_panel += a_panel @ b_panel`` does it for the whole panel.
+The ``blas-group`` backend is the path without the temporary (see
+:mod:`repro.gemm.cblas`).
 
 :meth:`MicroKernel.panel_tile_cycles` is the timing side: the number of
 model cycles the panel costs, counting ragged edge tiles as full tiles

@@ -40,6 +40,7 @@ from repro.gemm.backends import (
     set_default_backend,
 )
 from repro.gemm.backends import registry as backend_registry
+from repro.gemm import cblas
 from repro.gemm.parallel import check_multiply_operands
 from repro.gemm.verify import NumericFaultError, VerifyConfig
 from repro.machines import intel_i9_10900k
@@ -376,6 +377,132 @@ class TestRegistry:
         assert spec.requires == "torch"
         if not spec.is_available():
             assert "torch" not in available_backends()
+
+
+# -- blas-group's in-place gemm ----------------------------------------------
+
+_CANARY = 12345.0
+_PANEL = (slice(10, 60), slice(7, 40))  # a ragged 50 x 33 view of 80 x 64
+
+
+def _operands(rng, k, a_dtype, b_dtype, a_layout="c", b_layout="c"):
+    """A ``(50, k)`` and ``(k, 33)`` pair in the requested layouts."""
+    a = rng.standard_normal((50, k)).astype(a_dtype)
+    b = rng.standard_normal((k, 33)).astype(b_dtype)
+    if a_layout == "transposed":
+        a = np.ascontiguousarray(a.T).T  # F-ordered, like any transpose
+    elif a_layout == "strided":
+        a = np.repeat(a, 2, axis=1)[:, ::2]  # inner stride of two items
+    if b_layout == "reversed":
+        b = np.ascontiguousarray(b[::-1])[::-1]
+    return a, b
+
+
+@pytest.fixture
+def gemm_calls(monkeypatch):
+    """Count the BLAS gemm calls ``accumulate`` makes, by dtype name."""
+    calls: list[str] = []
+    real = cblas._gemms()
+
+    def spy(dtype, fn):
+        def call(*args):
+            calls.append(dtype.name)
+            fn(*args)
+
+        return call
+
+    wrapped = {dt: spy(dt, fn) for dt, fn in real.items()}
+    monkeypatch.setattr(cblas, "_gemms", lambda: wrapped)
+    return calls
+
+
+@pytest.fixture
+def no_gemm(monkeypatch):
+    """Make any BLAS gemm call from ``accumulate`` fail the test."""
+    def refuse(*_args):
+        raise AssertionError("BLAS gemm was called")
+
+    refusing = {np.dtype(np.float64): refuse, np.dtype(np.float32): refuse}
+    monkeypatch.setattr(cblas, "_gemms", lambda: refusing)
+
+
+class TestInPlaceGemm:
+    """``BlasGroupBackend`` accumulates into C views through one gemm."""
+
+    @pytest.mark.parametrize("method", ["matmul_group", "matmul_strip"])
+    @pytest.mark.parametrize(
+        "shapes",
+        [
+            ((2, 3), (4, 2), (2, 2)),  # inner extents disagree
+            ((2, 3), (3, 2), (3, 2)),  # C rows disagree
+            ((2, 3), (3, 2), (2, 5)),  # C columns disagree
+            ((1, 3), (3, 2), (2, 2)),  # numpy would broadcast the product
+        ],
+    )
+    def test_mismatched_extents_raise_before_blas(
+        self, method, shapes, no_gemm, rng
+    ):
+        a_shape, b_shape, c_shape = shapes
+        a = rng.standard_normal(a_shape)
+        b = rng.standard_normal(b_shape)
+        c = rng.standard_normal(c_shape)
+        before = c.tobytes()
+        with pytest.raises(ValueError):
+            getattr(BlasGroupBackend(), method)(a, b, c)
+        assert c.tobytes() == before
+
+    @pytest.mark.parametrize("method", ["matmul_group", "matmul_strip"])
+    def test_read_only_c_is_never_written(self, method, no_gemm, rng):
+        a, b = _operands(rng, 20, np.float64, np.float64)
+        c = np.zeros((50, 33))
+        c.flags.writeable = False
+        with pytest.raises(ValueError):
+            getattr(BlasGroupBackend(), method)(a, b, c)
+        assert not c.any()
+
+    @pytest.mark.parametrize("method", ["matmul_group", "matmul_strip"])
+    @pytest.mark.parametrize(
+        "k, a_dtype, b_dtype, a_layout, b_layout, in_place",
+        [
+            (37, np.float64, np.float64, "c", "c", True),
+            (129, np.float64, np.float64, "c", "c", True),
+            (37, np.float32, np.float32, "c", "c", True),
+            (129, np.float32, np.float32, "c", "c", True),
+            (37, np.complex128, np.complex128, "c", "c", False),
+            (37, np.float32, np.float64, "c", "c", False),
+            (37, np.float64, np.float64, "transposed", "c", False),
+            (37, np.float64, np.float64, "strided", "c", False),
+            (37, np.float64, np.float64, "c", "reversed", False),
+        ],
+    )
+    def test_writes_only_its_view(
+        self, method, k, a_dtype, b_dtype, a_layout, b_layout, in_place,
+        gemm_calls, rng,
+    ):
+        a, b = _operands(rng, k, a_dtype, b_dtype, a_layout, b_layout)
+        dtype = np.result_type(a, b)
+        c = np.full((80, 64), _CANARY, dtype=dtype)
+        c[_PANEL] = rng.standard_normal((50, 33))
+        c0 = c[_PANEL].copy()
+        getattr(BlasGroupBackend(), method)(a, b, c[_PANEL])
+
+        expected = c0 + a @ b
+        scale = float((np.abs(c0) + np.abs(a) @ np.abs(b)).max())
+        band = BlasGroupBackend().agreement_band(dtype, k)
+        assert np.abs(c[_PANEL] - expected).max() <= band * scale
+        outside = np.ones(c.shape, dtype=bool)
+        outside[_PANEL] = False
+        assert (c[outside] == _CANARY).all()
+        live = in_place and np.dtype(dtype) in cblas._gemms()
+        assert gemm_calls == ([np.dtype(dtype).name] if live else [])
+
+    def test_fast_path_live_on_bundled_openblas(self):
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        if blas.get("name") != "scipy-openblas":
+            pytest.skip(f"numpy links {blas.get('name')!r}, not scipy-openblas")
+        resolved = cblas._gemms()
+        assert np.dtype(np.float64) in resolved
+        assert np.dtype(np.float32) in resolved
 
 
 # -- differential property sweep ---------------------------------------------

@@ -120,6 +120,12 @@ class TestBackpressure:
         # must shed with reason="capacity" and an aggregate-backlog
         # retry_after, and every frozen request must still resolve
         # after release.
+        # submit() also counts the workers' pending totals from their
+        # last heartbeat, which can still report an earlier test's work:
+        # wait for them to drain so `free` below is the whole headroom.
+        assert _wait_until(lambda: fleet.supervisor.pending_total() == 0), (
+            "worker pending counts never drained to zero"
+        )
         handles = []
         with fleet._cond:
             free = fleet.capacity - len(fleet._queue) - len(fleet._assigned)
