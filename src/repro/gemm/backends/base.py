@@ -71,9 +71,7 @@ def dtype_supported(caps: BackendCapabilities, dtype) -> bool:
     is allowed to offer.
     """
     dt = np.dtype(dtype)
-    if not (
-        np.issubdtype(dt, np.floating) or np.issubdtype(dt, np.complexfloating)
-    ):
+    if dt.kind not in ("f", "c"):  # floating or complex floating
         return False
     return caps.dtypes is None or dt.name in caps.dtypes
 

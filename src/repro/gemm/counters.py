@@ -89,6 +89,22 @@ class TrafficCounters:
         self.macs += other.macs
         self.ipc_bytes += other.ipc_bytes
 
+    def copy(self) -> "TrafficCounters":
+        """An independent copy (each run of a memoized accounting gets
+        its own)."""
+        return TrafficCounters(
+            self.ext_a_read,
+            self.ext_b_read,
+            self.ext_c_write,
+            self.ext_c_spill,
+            self.ext_c_read,
+            self.ext_pack,
+            self.internal,
+            self.tile_cycles,
+            self.macs,
+            self.ipc_bytes,
+        )
+
     def without_ipc(self) -> "TrafficCounters":
         """A copy with :attr:`ipc_bytes` zeroed.
 
@@ -97,14 +113,6 @@ class TrafficCounters:
         and benches compare ``run.counters.without_ipc() ==
         serial.counters`` to assert that.
         """
-        return TrafficCounters(
-            ext_a_read=self.ext_a_read,
-            ext_b_read=self.ext_b_read,
-            ext_c_write=self.ext_c_write,
-            ext_c_spill=self.ext_c_spill,
-            ext_c_read=self.ext_c_read,
-            ext_pack=self.ext_pack,
-            internal=self.internal,
-            tile_cycles=self.tile_cycles,
-            macs=self.macs,
-        )
+        counters = self.copy()
+        counters.ipc_bytes = 0
+        return counters

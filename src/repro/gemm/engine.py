@@ -4,7 +4,8 @@ The paper's CAKE and GOTO differ only in block shape and loop order
 (Section 3 and Algorithm 2 against Section 4.1), so one pipeline runs
 both: resolve the plan (analytic, overridden or tuned), read its
 accounting from the batch analyzer memoized per (plan, schedule), then
-pack, build the plan's strip groups and run them in process
+pack and slice the strip groups of its execution layout (memoized per
+plan, schedule and strips) and run them in process
 (:mod:`repro.gemm.parallel`) or across shard processes
 (:mod:`repro.gemm.sharded`), verified when asked
 (:mod:`repro.gemm.verify`). Everything engine-specific is on the plan
@@ -108,7 +109,8 @@ class GemmEngine:
         instances.
     pool:
         A :class:`~repro.packing.pool.BufferPool` to lease packed
-        operand buffers from, or ``None`` for a private per-engine pool.
+        operand buffers from, or ``None`` for a private per-engine pool
+        (made by the engine's second in-process call).
         Passing a shared pool (the serve layer does, per shape class)
         makes packed-buffer reuse span engines; the pool is
         thread-safe, so concurrent ``multiply`` calls through one pool
@@ -180,8 +182,9 @@ class GemmEngine:
             )
         # An injected pool lets callers (the serve batcher) share packed
         # operand buffers across engines serving one shape class; the
-        # default keeps each engine's reuse private.
-        self._pool = BufferPool() if pool is None else pool
+        # default keeps each engine's reuse private (see _call_pool).
+        self._pool = pool
+        self._called = False
 
     # -- public API ----------------------------------------------------------
 
@@ -326,9 +329,11 @@ class GemmEngine:
     ) -> tuple[np.ndarray, VerifyReport | None]:
         """The in-process run: pack, build the groups, execute, release."""
         verifying = self.verify is not None and self.verify.enabled
+        layout = plan.layout(schedule, strips)
+        pool = self._call_pool()
         start = time.perf_counter()
-        packed_a, packed_b = plan.pack(
-            a, b, pool=self._pool, exact=self.exact_pack, checksums=verifying
+        packed_a, packed_b = layout.pack(
+            a, b, pool=pool, exact=self.exact_pack, checksums=verifying
         )
         timers.pack_seconds = time.perf_counter() - start
         c = np.zeros((plan.space.m, plan.space.n), dtype=dtype)
@@ -337,9 +342,9 @@ class GemmEngine:
             packed_b,
             checksums="pack" if verifying else None,
             stack=self.backend.capabilities.grouped,
-            pool=self._pool,
+            pool=pool,
         )
-        groups = plan.strip_groups(ops, c, schedule=schedule, strips=strips)
+        groups = layout.strip_groups(ops, c)
         kernel = plan.kernel
         report = run_verified(
             groups,
@@ -355,3 +360,19 @@ class GemmEngine:
         )
         ops.release()
         return c, report
+
+    def _call_pool(self) -> "BufferPool | None":
+        """The pool this call leases packed buffers from.
+
+        An engine given no pool makes its private one on its second
+        call: the first call of a single-use engine (what
+        :func:`~repro.api.cake_matmul` builds) leases plain arrays and
+        returns nothing, since a pool it released into would die with
+        it. Racing first calls may each make a pool and one is dropped;
+        every lease still comes from a locked pool, so no buffer is
+        shared.
+        """
+        if self._pool is None and self._called:
+            self._pool = BufferPool()
+        self._called = True
+        return self._pool

@@ -211,11 +211,19 @@ def check_multiply_operands(
     the torch backend), so capability failures never surface as a
     generic ``TypeError`` deep in a kernel.
 
+    Operands that are not numpy arrays (lists, scalars) raise a plain
+    ``TypeError`` naming the operand; array-likes are not converted.
+
     Layout is deliberately *not* validated: F-ordered, transposed and
     non-contiguous operands are first-class. The packing pass copies
     them block-contiguous in a single strided pass, so no caller ever
     needs (or pays for) an ``np.ascontiguousarray`` staging copy.
     """
+    for name, x in (("a", a), ("b", b)):
+        if not isinstance(x, np.ndarray):
+            raise TypeError(
+                f"{name} must be a numpy array, got {type(x).__name__}"
+            )
     if a.ndim != 2 or b.ndim != 2:
         raise ValueError("operands must be 2-D arrays")
     if a.shape[1] != b.shape[0]:
@@ -224,9 +232,7 @@ def check_multiply_operands(
         )
     out = np.result_type(a, b)
     name = backend.name if backend is not None else "numpy"
-    if not (
-        np.issubdtype(out, np.floating) or np.issubdtype(out, np.complexfloating)
-    ):
+    if out.kind not in ("f", "c"):  # floating or complex floating
         raise BackendCapabilityError(
             name,
             f"refusing to multiply {a.dtype} x {b.dtype} operands: blocked "

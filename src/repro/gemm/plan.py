@@ -17,18 +17,18 @@ L2-resident A blocks and an LLC-filling B panel, with no bandwidth term —
 which is exactly why its DRAM demand grows with core count.
 
 A plan is also everything engine-specific about running a product —
-packing, the shard grid's block rows and columns, the summary, the
-memoized accounting and the one strip-group builder — so one pipeline
+the shard grid's block rows and columns, the summary, the memoized
+accounting and the memoized :class:`ExecutionLayout` (pack chunks plus
+every strip group's geometry) — so one pipeline
 (:class:`~repro.gemm.engine.GemmEngine`) drives both engines. Plans are
 small and picklable; a shard task ships one.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -44,7 +44,7 @@ from repro.packing.pack import PackedA, PackedB, PackedOperands, pack_a, pack_b
 from repro.packing.pool import BufferPool
 from repro.schedule.kfirst import kfirst_schedule
 from repro.schedule.space import BlockCoord, BlockGrid, ComputationSpace
-from repro.util import prefix_offsets, require_positive, split_length
+from repro.util import ceil_div, prefix_offsets, require_positive, split_length
 
 if TYPE_CHECKING:  # pragma: no cover - hints only
     from repro.gemm.sharded import ShardSpan
@@ -85,8 +85,6 @@ def _balanced_extent(total: int, nominal: int) -> int:
     cache-derived nominal, and leaves a remainder of at most the number
     of blocks (instead of an arbitrarily small ragged block).
     """
-    from repro.util import ceil_div
-
     blocks = ceil_div(total, min(nominal, total))
     return ceil_div(total, blocks)
 
@@ -195,11 +193,110 @@ class PlanOverride:
         return cls(**doc)
 
 
+class GroupLayout(NamedTuple):
+    """One strip group's geometry: everything but the operands' bytes.
+
+    The group reads the packed A blocks ``a_strips`` (rows of the A
+    block grid) at K panel ``k_panel`` against B panel
+    ``(k_panel, n_panel)``, and updates the C panel ``c[rows, cols]``
+    (its origin and extent). Each of ``strips`` is one task:
+    ``(A block row, rows of that A block, rows of the C panel)``.
+    ``index``, ``coord`` and ``label`` are the group's schedule position
+    (the fault-injection and verification key) and its names in error
+    reports.
+    """
+
+    index: int
+    coord: tuple
+    label: str
+    a_strips: range
+    k_panel: int
+    n_panel: int
+    rows: slice
+    cols: slice
+    strips: tuple[tuple[int, slice, slice], ...]
+
+
+@dataclass(frozen=True, slots=True)
+class ExecutionLayout:
+    """How a plan runs, fixed before any operand is seen.
+
+    ``chunks`` is the pack tiling ``(rows, kc, cols)``: A packs into
+    ``rows x kc`` blocks and B into ``kc x cols`` panels. ``groups`` is
+    every strip group of one (schedule, strips, shard span) choice, in
+    execution order. CAKE derives all of it from the plan without search
+    (Sections 3 and 4.2), so it is memoized per plan (:meth:`_Plan.layout`)
+    and a call only packs and slices views.
+    """
+
+    chunks: tuple[int, int, int]
+    groups: tuple[GroupLayout, ...]
+
+    def pack(
+        self,
+        a: np.ndarray,
+        b: np.ndarray,
+        *,
+        pool: BufferPool | None = None,
+        exact: bool = False,
+        checksums: bool = False,
+    ) -> tuple[PackedA, PackedB]:
+        """Pack A and B into this layout's blocks and panels."""
+        rows, kc, cols = self.chunks
+        return (
+            pack_a(a, rows, kc, pool=pool, exact=exact, checksums=checksums),
+            pack_b(b, kc, cols, pool=pool, exact=exact, checksums=checksums),
+        )
+
+    def strip_groups(
+        self, ops: PackedOperands, c: np.ndarray
+    ) -> list[StripGroup]:
+        """The strip groups over packed ``ops`` and the output ``c``.
+
+        Pure view arithmetic: each group's tasks slice its A blocks, B
+        panel and C panel by the memoized geometry. A group of one A
+        block reads that block as its stacked operand; a group of
+        several stacks them only when ``ops`` asks for stacks.
+        """
+        a_blocks, b_panels = ops.a.blocks, ops.b.panels
+        groups: list[StripGroup] = []
+        for g in self.groups:
+            ki = g.k_panel
+            b_panel = b_panels[ki][g.n_panel]
+            panel = c[g.rows, g.cols]
+            tasks = [
+                StripTask(a_blocks[s][ki][a_rows], b_panel, panel[c_rows])
+                for s, a_rows, c_rows in g.strips
+            ]
+            if len(g.a_strips) == 1:
+                operand_a = a_blocks[g.a_strips.start][ki]
+            else:
+                operand_a = ops.stack_a(g.a_strips, ki) if ops.stack else None
+            cs_a, mag_a = ops.sums_a(g.a_strips, ki)
+            cs_b, mag_b = ops.sums_b(ki, g.n_panel)
+            groups.append(
+                StripGroup(
+                    tasks=tasks,
+                    index=g.index,
+                    coord=g.coord,
+                    label=g.label,
+                    checksum_a=cs_a,
+                    checksum_b=cs_b,
+                    panel=panel,
+                    fresh_panel=ki == 0,
+                    operand_a=operand_a,
+                    mag_a=mag_a,
+                    mag_b=mag_b,
+                )
+            )
+        return groups
+
+
 class _Plan:
     """What every engine plan shares. Subclasses are frozen dataclasses
-    with ``machine``, ``space``, ``cores`` and ``kc`` fields and a
-    ``_pack_chunks`` triple ``(rows, kc, cols)``: A packs into
-    ``rows x kc`` blocks and B into ``kc x cols`` panels."""
+    with ``machine``, ``space``, ``cores`` and ``kc`` fields, a
+    ``_pack_chunks`` triple ``(rows, kc, cols)`` and a ``_group_layouts``
+    builder."""
 
     __slots__ = ()
 
@@ -216,21 +313,21 @@ class _Plan:
         """
         return _fresh(_accounting(self, schedule))
 
-    def pack(
+    def layout(
         self,
-        a: np.ndarray,
-        b: np.ndarray,
-        *,
-        pool: BufferPool | None = None,
-        exact: bool = False,
-        checksums: bool = False,
-    ) -> tuple[PackedA, PackedB]:
-        """Pack A and B into this plan's blocks and panels."""
-        rows, kc, cols = self._pack_chunks
-        return (
-            pack_a(a, rows, kc, pool=pool, exact=exact, checksums=checksums),
-            pack_b(b, kc, cols, pool=pool, exact=exact, checksums=checksums),
-        )
+        schedule: str | None = None,
+        strips: int | None = None,
+        span: "ShardSpan | None" = None,
+    ) -> ExecutionLayout:
+        """Pack chunks and strip-group geometry, memoized per
+        (plan, schedule, strips, span).
+
+        ``strips`` splits each group's rows into that many tasks instead
+        of one per modelled core. With a ``span`` only that shard's
+        groups are kept, but indices and strip shapes are the
+        in-process run's (the sharded bit-identity argument).
+        """
+        return _layout(self, schedule, strips, span)
 
 
 @dataclass(frozen=True, slots=True)
@@ -389,56 +486,49 @@ class CakePlan(_Plan):
         m_sizes, n_sizes, _ = self.grid().size_arrays()
         return m_sizes.tolist(), n_sizes.tolist()
 
-    def strip_groups(
+    def _group_layouts(
         self,
-        ops: PackedOperands,
-        c: np.ndarray,
-        *,
-        span: "ShardSpan | None" = None,
-        schedule: str | None = None,
-        strips: int | None = None,
-    ) -> list[StripGroup]:
-        """One strip group per CB block, in ``schedule`` order.
+        schedule: str | None,
+        strips: int | None,
+        span: "ShardSpan | None",
+    ) -> tuple[GroupLayout, ...]:
+        """One group per CB block, in ``schedule`` order.
 
         Each block's M extent splits into ``strips`` row strips (default:
         one per modelled core). With a ``span`` only that shard's blocks
         are kept, but the *whole* schedule is still walked, so group
-        indices (the fault-injection and verification keys) and strip
-        shapes match the in-process run's exactly — the sharded
-        bit-identity argument.
+        indices and strip shapes match the in-process run's exactly.
         """
         grid = self.grid()
         suffix = "" if span is None else f" [shard ({span.row}, {span.col})]"
-        groups: list[StripGroup] = []
+        groups: list[GroupLayout] = []
         for index, coord in enumerate(self.order(schedule)):
+            mi, ni, ki = coord.mi, coord.ni, coord.ki
             if span is not None and not (
-                span.mi0 <= coord.mi < span.mi1
-                and span.ni0 <= coord.ni < span.ni1
+                span.mi0 <= mi < span.mi1 and span.ni0 <= ni < span.ni1
             ):
                 continue
             ext = grid.extent(coord)
             m0, n0, _k0 = grid.origin(coord)
-            a_block = ops.a.block(coord.mi, coord.ki)
-            b_panel = ops.b.panel(coord.ki, coord.ni)
-            c_view = c[m0 : m0 + ext.m, n0 : n0 + ext.n]
             heights = core_strips(ext.m, strips or self.cores)
-            tasks = [
-                StripTask(a_block[r0 : r0 + h], b_panel, c_view[r0 : r0 + h])
+            rows = [
+                slice(r0, r0 + h)
                 for r0, h in zip(prefix_offsets(heights), heights)
             ]
             groups.append(
-                _strip_group(
-                    ops, tasks, range(coord.mi, coord.mi + 1), coord.ki,
-                    coord.ni,
+                GroupLayout(
                     index=index,
-                    coord=(coord.mi, coord.ni, coord.ki),
-                    label=f"cake block (mi={coord.mi}, ni={coord.ni}, "
-                    f"ki={coord.ki}){suffix}",
-                    panel=c_view,
-                    operand_a=a_block,
+                    coord=(mi, ni, ki),
+                    label=f"cake block (mi={mi}, ni={ni}, ki={ki}){suffix}",
+                    a_strips=range(mi, mi + 1),
+                    k_panel=ki,
+                    n_panel=ni,
+                    rows=slice(m0, m0 + ext.m),
+                    cols=slice(n0, n0 + ext.n),
+                    strips=tuple((mi, r, r) for r in rows),
                 )
             )
-        return groups
+        return tuple(groups)
 
 
 @lru_cache(maxsize=PLAN_MEMO_MAXSIZE)
@@ -582,61 +672,69 @@ class GotoPlan(_Plan):
         m_strips, n_sizes, _ = self.tiles()
         return m_strips, n_sizes
 
-    def strip_groups(
+    def layout(
         self,
-        ops: PackedOperands,
-        c: np.ndarray,
-        *,
-        span: "ShardSpan | None" = None,
         schedule: str | None = None,
         strips: int | None = None,
-    ) -> list[StripGroup]:
-        """One strip group per ``(nc, kc)`` slice, in the N-then-K nest.
+        span: "ShardSpan | None" = None,
+    ) -> ExecutionLayout:
+        """As :meth:`_Plan.layout`; GOTO has one loop order and fixed
+        ``mc`` strips, so ``schedule`` and ``strips`` are ignored."""
+        return _layout(self, None, None, span)
+
+    def _group_layouts(
+        self,
+        schedule: str | None,
+        strips: int | None,
+        span: "ShardSpan | None",
+    ) -> tuple[GroupLayout, ...]:
+        """One group per ``(nc, kc)`` slice, in the N-then-K nest.
 
         Every ``mc`` strip of a slice updates a disjoint C row panel, so
         all waves of the slice form one group; the cross-slice barrier
         keeps each C element's accumulation order identical to the
         serial nest. Group indices are the nest positions
         ``ni * Kb + ki``. With a ``span`` only that shard's strips and
-        panels are built, and strip indices within a group are
+        panels are kept, and strip indices within a group are
         shard-local, which only moves fault-injection targets, never
-        the numerics. GOTO has one loop order and fixed ``mc`` strips,
-        so ``schedule`` and ``strips`` are ignored.
+        the numerics.
         """
         m_strips, n_sizes, k_sizes = self.tiles()
         m_off, n_off = prefix_offsets(m_strips), prefix_offsets(n_sizes)
         kb = len(k_sizes)
         if span is None:
-            rows, cols = range(len(m_strips)), range(len(n_sizes))
+            a_strips, cols = range(len(m_strips)), range(len(n_sizes))
         else:
-            rows, cols = range(span.mi0, span.mi1), range(span.ni0, span.ni1)
-        r0 = m_off[rows.start]
-        r1 = m_off[rows.stop - 1] + m_strips[rows.stop - 1]
+            a_strips = range(span.mi0, span.mi1)
+            cols = range(span.ni0, span.ni1)
+        r0 = m_off[a_strips.start]
+        r1 = m_off[a_strips.stop - 1] + m_strips[a_strips.stop - 1]
+        rows = slice(r0, r1)
+        # Every slice of the span runs the same strips: one shared tuple.
+        tasks = tuple(
+            (
+                s,
+                slice(0, m_strips[s]),
+                slice(m_off[s] - r0, m_off[s] - r0 + m_strips[s]),
+            )
+            for s in a_strips
+        )
         suffix = "" if span is None else f" [shard ({span.row}, {span.col})]"
-        groups: list[StripGroup] = []
-        for ni in cols:
-            n0, n1 = n_off[ni], n_off[ni] + n_sizes[ni]
-            for ki in range(kb):
-                b_panel = ops.b.panel(ki, ni)
-                tasks = [
-                    StripTask(
-                        ops.a.block(s, ki),
-                        b_panel,
-                        c[m_off[s] : m_off[s] + m_strips[s], n0:n1],
-                    )
-                    for s in rows
-                ]
-                groups.append(
-                    _strip_group(
-                        ops, tasks, rows, ki, ni,
-                        index=ni * kb + ki,
-                        coord=(ni, ki),
-                        label=f"goto slice (ni={ni}, ki={ki}){suffix}",
-                        panel=c[r0:r1, n0:n1],
-                        operand_a=ops.stack_a(rows, ki) if ops.stack else None,
-                    )
-                )
-        return groups
+        return tuple(
+            GroupLayout(
+                index=ni * kb + ki,
+                coord=(ni, ki),
+                label=f"goto slice (ni={ni}, ki={ki}){suffix}",
+                a_strips=a_strips,
+                k_panel=ki,
+                n_panel=ni,
+                rows=rows,
+                cols=slice(n_off[ni], n_off[ni] + n_sizes[ni]),
+                strips=tasks,
+            )
+            for ni in cols
+            for ki in range(kb)
+        )
 
 
 @lru_cache(maxsize=PLAN_MEMO_MAXSIZE)
@@ -669,59 +767,61 @@ def _goto_plan(
     )
 
 
-def _strip_group(
-    ops: PackedOperands,
-    tasks: list[StripTask],
-    a_strips: range,
-    k_panel: int,
-    n_panel: int,
-    **fields,
-) -> StripGroup:
-    """A group over ``tasks`` carrying the checksum material of the A
-    strips ``a_strips`` and the B panel ``(k_panel, n_panel)``."""
-    cs_a, mag_a = ops.sums_a(a_strips, k_panel)
-    cs_b, mag_b = ops.sums_b(k_panel, n_panel)
-    return StripGroup(
-        tasks=tasks,
-        checksum_a=cs_a,
-        checksum_b=cs_b,
-        mag_a=mag_a,
-        mag_b=mag_b,
-        fresh_panel=k_panel == 0,
-        **fields,
-    )
-
-
 @lru_cache(maxsize=PLAN_MEMO_MAXSIZE)
 def _accounting(plan: "CakePlan | GotoPlan", schedule: str | None) -> GemmRun:
     """The memoized body of the plans' ``accounting`` methods."""
     return plan._analyze(schedule)
 
 
+@lru_cache(maxsize=PLAN_MEMO_MAXSIZE)
+def _layout(
+    plan: "CakePlan | GotoPlan",
+    schedule: str | None,
+    strips: int | None,
+    span: "ShardSpan | None",
+) -> ExecutionLayout:
+    """The memoized body of the plans' ``layout`` methods."""
+    return ExecutionLayout(
+        plan._pack_chunks, plan._group_layouts(schedule, strips, span)
+    )
+
+
 def _fresh(run: GemmRun) -> GemmRun:
-    """A memoized run with its own copies of every mutable part."""
-    return dataclasses.replace(
-        run,
-        counters=dataclasses.replace(run.counters),
-        bound_blocks=dict(run.bound_blocks),
-        plan_summary=dict(run.plan_summary),
+    """A memoized run with its own copies of every mutable part.
+
+    An accounting run sets only the fields passed here (the rest keep
+    their defaults); building it directly skips ``dataclasses.replace``'s
+    per-field introspection.
+    """
+    return GemmRun(
+        run.engine,
+        run.machine,
+        run.space,
+        run.cores,
+        run.counters.copy(),
+        run.time,
+        run.packing_seconds,
+        dict(run.bound_blocks),
+        dict(run.plan_summary),
     )
 
 
 def plan_cache_info() -> dict[str, object]:
-    """Hit/miss/size counters for the plan and accounting memos (for
-    audits and tests)."""
+    """Hit/miss/size counters for the plan, accounting and layout memos
+    (for audits and tests)."""
     return {
         "maxsize": PLAN_MEMO_MAXSIZE,
         "cake": _cake_plan.cache_info()._asdict(),
         "goto": _goto_plan.cache_info()._asdict(),
         "accounting": _accounting.cache_info()._asdict(),
+        "layout": _layout.cache_info()._asdict(),
     }
 
 
 def clear_plan_memos() -> None:
-    """Drop every memoized plan and accounting (tests; never needed for
-    correctness)."""
+    """Drop every memoized plan, accounting and layout (tests; never
+    needed for correctness)."""
     _cake_plan.cache_clear()
     _goto_plan.cache_clear()
     _accounting.cache_clear()
+    _layout.cache_clear()

@@ -34,11 +34,11 @@ Bit-identity
 The sharded product is **bit-identical** to the serial walk for any
 (processes x threads x backend) combination, because sharding never
 splits the K dimension: every C element's full ``+=`` accumulation
-sequence lives inside exactly one shard, and the shard builds its strip
-groups with the engine plan's own builder over the *global* schedule,
-filtered to its blocks (same ki order, same group indices, same strip
-shapes, same backend calls), so floating-point addition order is
-unchanged. The conformance suite asserts this per backend.
+sequence lives inside exactly one shard, and the shard slices its strip
+groups from the engine plan's own execution layout over the *global*
+schedule, filtered to its blocks (same ki order, same group indices,
+same strip shapes, same backend calls), so floating-point addition
+order is unchanged. The conformance suite asserts this per backend.
 
 Shard-grid selection
 --------------------
@@ -606,8 +606,9 @@ def _run_attached(
 ) -> dict:
     """The shard body: rebuild views, build groups, run the executor.
 
-    The plan's strip-group builder walks the global schedule keeping
-    this shard's blocks, with checksum material summed from the
+    The plan's layout for this span walks the global schedule keeping
+    this shard's blocks (memoized, so a persistent worker builds it
+    once per plan), with checksum material summed from the
     attached blocks themselves (shipping the parent's checksum buffers
     would double the descriptor surface for no gain). Every array built
     here (packed views, C views, verifier state) is local to this
@@ -623,8 +624,8 @@ def _run_attached(
         stack=spec.capabilities.grouped,
     )
     c = attach(task.c_segment)
-    groups = task.plan.strip_groups(
-        ops, c, span=task.span, schedule=task.schedule
+    groups = task.plan.layout(task.schedule, span=task.span).strip_groups(
+        ops, c
     )
     timers = PhaseTimers()
     kernel = task.plan.kernel
@@ -836,7 +837,7 @@ def multiply_sharded(
     space = plan.space
     shard_plan = plan_shards(config.processes, *plan.shard_extents(), space.k)
     pack_start = time.perf_counter()
-    packed_a, packed_b = plan.pack(a, b, pool=arena)
+    packed_a, packed_b = plan.layout(schedule).pack(a, b, pool=arena)
     timers.pack_seconds = time.perf_counter() - pack_start
     c = arena.lease((space.m, space.n), dtype)
     leased = [*packed_a.buffers, *packed_b.buffers, c]

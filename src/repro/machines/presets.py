@@ -38,10 +38,17 @@ physical traffic hardware counters report; see
 :class:`repro.machines.spec.MachineSpec`. Desktop values ~1.5 (external)
 are pinned by the paper's Intel observations: CAKE ~4.5 GB/s observed vs
 ~3 GB/s of counted operands, MKL ~25 GB/s vs ~16.5 counted.
+
+Each preset is built once per process and shared: a spec is frozen, so
+the plan memos hash and compare one object instead of validating and
+comparing a fresh spec field by field on every call. A derived machine
+(``with_cores``, ``dataclasses.replace``) is a new spec, validated as
+usual.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Callable
 
 from repro.machines.internal_bw import SaturatingCurve
@@ -49,6 +56,7 @@ from repro.machines.spec import MachineSpec
 from repro.util.units import BYTES_PER_GIB, BYTES_PER_KIB, BYTES_PER_MIB
 
 
+@cache
 def intel_i9_10900k() -> MachineSpec:
     """Intel i9-10900K: 10 cores, 20 MiB LLC, 40 GB/s DRAM (Table 2)."""
     return MachineSpec(
@@ -72,6 +80,7 @@ def intel_i9_10900k() -> MachineSpec:
     )
 
 
+@cache
 def amd_ryzen_9_5950x() -> MachineSpec:
     """AMD Ryzen 9 5950X: 16 cores, 64 MiB LLC, 47 GB/s DRAM (Table 2)."""
     return MachineSpec(
@@ -95,6 +104,7 @@ def amd_ryzen_9_5950x() -> MachineSpec:
     )
 
 
+@cache
 def arm_cortex_a53() -> MachineSpec:
     """ARM v8 Cortex-A53: 4 cores, shared 512 KiB L2 as LLC, 2 GB/s DRAM."""
     return MachineSpec(

@@ -19,7 +19,7 @@ Two implementations produce bit-identical buffers:
   buffers (uniform interior, ragged right edge, ragged bottom edge,
   corner) with one strided ``np.copyto`` each; individual blocks are
   C-contiguous views into those buffers. Because the copy source is a
-  stride-tricks view of the original operand, any input layout —
+  reshaped view of the original operand, any input layout —
   F-ordered, transposed, or otherwise non-contiguous — is packed with
   exactly **one** data copy (no contiguous staging copy first).
 * The **loop oracle** (``exact=True``) is the original nested-Python-loop
@@ -34,7 +34,7 @@ ABFT checksums
 --------------
 
 With ``checksums=True`` each packed block additionally carries its ABFT
-checksum vector, computed at pack time while the block is cache-hot:
+checksum vector, computed at pack time, after the copy:
 
 * A blocks get **column** checksums (sum over rows — length ``kc``),
 * B panels get **row** checksums (sum over columns — length ``kc``),
@@ -42,12 +42,15 @@ checksum vector, computed at pack time while the block is cache-hot:
   — which the verifier turns into tolerance bounds without rescanning
   the operands at check time.
 
-All of a matrix's checksum and magnitude vectors live in flat pool-leased
-buffers (returned with the block buffers by ``release_to``), filled in
-place with ``np.sum(..., out=view)``. Computing them here rather than at
-verify time is what makes verification cheap: a B panel's checksum is
-reused by every block that touches the panel, mirroring how CAKE reuses
-the panel itself.
+The checksum and magnitude vectors live in pool-leased buffers (returned
+with the block buffers by ``release_to``), filled in place with
+``np.sum(..., out=...)``. The vectorized pack reduces each of its backing
+buffers whole once the copy is done, through a full-size ``|x|``
+temporary, so the packed matrix is read again after it was written: this
+is a separate pass, not a by-product of the copy. Computing the vectors
+here rather than at verify time still makes verification cheap: a B
+panel's checksum is reused by every block that touches the panel,
+mirroring how CAKE reuses the panel itself.
 """
 
 from __future__ import annotations
@@ -56,7 +59,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from repro.packing.pool import BufferPool
 from repro.util import require_positive, split_length
@@ -469,7 +471,7 @@ def _pack_grid(
     The interior blocks (all full ``row_chunk x col_chunk``) land in one
     block-major 4-D buffer with a single strided copy; the ragged right
     edge, bottom edge and corner each get their own buffer. The copy
-    *source* is a zero-copy strided view of ``x``, so the data moves
+    *source* is a zero-copy reshaped view of ``x``, so the data moves
     exactly once regardless of the input's memory layout.
     """
     rows, cols = x.shape
@@ -477,42 +479,31 @@ def _pack_grid(
     cc = min(col_chunk, cols)
     r_full, r_rem = divmod(rows, rc)
     c_full, c_rem = divmod(cols, cc)
-    sr, sc = x.strides
+    r_cut, c_cut = r_full * rc, c_full * cc
 
     lease = pool.lease if pool is not None else np.empty
     buffers: list[np.ndarray] = []
 
+    # Splitting an axis in two never needs a copy, so every source below
+    # is a view of ``x`` whatever its strides.
     main = right = bottom = corner = None
     if r_full and c_full:
         main = lease((r_full, c_full, rc, cc), x.dtype)
-        np.copyto(
-            main,
-            as_strided(
-                x,
-                shape=(r_full, c_full, rc, cc),
-                strides=(rc * sr, cc * sc, sr, sc),
-            ),
-        )
+        source = x[:r_cut, :c_cut].reshape(r_full, rc, c_full, cc)
+        np.copyto(main, source.transpose(0, 2, 1, 3))
         buffers.append(main)
     if r_full and c_rem:
-        edge = x[:, c_full * cc :]
         right = lease((r_full, rc, c_rem), x.dtype)
-        np.copyto(
-            right,
-            as_strided(edge, shape=(r_full, rc, c_rem), strides=(rc * sr, sr, sc)),
-        )
+        np.copyto(right, x[:r_cut, c_cut:].reshape(r_full, rc, c_rem))
         buffers.append(right)
     if r_rem and c_full:
-        edge = x[r_full * rc :, :]
         bottom = lease((c_full, r_rem, cc), x.dtype)
-        np.copyto(
-            bottom,
-            as_strided(edge, shape=(c_full, r_rem, cc), strides=(cc * sc, sr, sc)),
-        )
+        source = x[r_cut:, :c_cut].reshape(r_rem, c_full, cc)
+        np.copyto(bottom, source.transpose(1, 0, 2))
         buffers.append(bottom)
     if r_rem and c_rem:
         corner = lease((r_rem, c_rem), x.dtype)
-        np.copyto(corner, x[r_full * rc :, c_full * cc :])
+        np.copyto(corner, x[r_cut:, c_cut:])
         buffers.append(corner)
 
     parts = GridParts(main, right, bottom, corner, r_full, c_full)
@@ -542,9 +533,10 @@ def _checksum_grids(
     arithmetic, so the verify path never rescans ``|A|`` or ``|B|``.
 
     All vectors are views into two 1-D buffers — two pool leases for the
-    whole matrix — filled in place with ``np.sum(..., out=view)``. Both
-    reductions of a block run back to back while it is cache-resident,
-    so the matrix streams from DRAM once, not twice.
+    whole matrix — filled in place with ``np.sum(..., out=view)``. This
+    is the loop oracle's path: it runs after the whole grid was copied,
+    block by block through a per-shape ``|blk|`` scratch, so it re-reads
+    every block rather than riding on the copy.
     """
     cs_total = sum(blk.shape[1 - axis] for row in grid for blk in row)
     mag_total = sum(blk.shape[0] + blk.shape[1] for row in grid for blk in row)
@@ -596,10 +588,12 @@ def _checksum_grids_fast(
 
     Same outputs as :func:`_checksum_grids`, but each backing buffer of
     the vectorized pack is reduced with one numpy call per result
-    (checksum, ``|.|`` per-column sums, ``|.|`` per-row sums) — the
-    matrix streams once and no python loop runs per block. Bit-identical
-    to the per-block path: each block's reduction covers the same
-    contiguous elements in the same pairwise order.
+    (checksum, ``|.|`` per-column sums, ``|.|`` per-row sums), so no
+    python loop runs per block. It is not free: after the copy, each
+    buffer is read for the checksum, written and read twice more as a
+    full-size ``|x|`` temporary. Bit-identical to the per-block path:
+    each block's reduction covers the same contiguous elements in the
+    same pairwise order.
     """
     lease = pool.lease if pool is not None else np.empty
     held: list[np.ndarray] = []

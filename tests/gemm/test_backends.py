@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.api import cake_matmul
 from repro.errors import BackendCapabilityError
 from repro.gemm import CakeGemm, GotoGemm
 from repro.gemm.backends import (
@@ -280,6 +281,14 @@ class TestStructuredErrors:
         assert exc.value.dtype == np.dtype(np.int64)
         # Still a TypeError for callers holding the historic contract.
         assert isinstance(exc.value, TypeError)
+
+    def test_non_array_operands_raise_type_error(self, intel, backend_name):
+        """Lists are refused by name and type, never read as arrays."""
+        engine = CakeGemm(intel, backend=backend_name)
+        with pytest.raises(TypeError, match="a must be a numpy array, got list"):
+            engine.multiply([[1.0, 2.0]], [[1.0], [2.0]])
+        with pytest.raises(TypeError, match="b must be a numpy array, got list"):
+            cake_matmul(np.ones((1, 2)), [[1.0], [2.0]], backend=backend_name)
 
     def test_unsupported_dtype_is_structured(self, intel):
         spec = BackendSpec(

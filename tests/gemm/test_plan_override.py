@@ -110,6 +110,9 @@ MEMOS = {
     "accounting": lambda machine, space: CakePlan.from_problem(
         machine, space
     ).accounting(),
+    "layout": lambda machine, space: CakePlan.from_problem(
+        machine, space
+    ).layout(),
 }
 
 
